@@ -34,7 +34,6 @@
 #include "nn/optim.h"
 #include "obs/trace.h"
 #include "place/placer.h"
-#include "route/incremental.h"
 #include "route/router.h"
 #include "sta/incremental.h"
 #include "sta/sta.h"
@@ -329,7 +328,7 @@ IsaGflops attn_scores_gflops(int d, int len, int ld, bool have_avx2,
 /// width-5 40-step recommend on the KV-cached fast path vs the tape
 /// reference (and the speedup), decoder token evaluations per second,
 /// per-kernel GFLOP/s for the scalar vs AVX2 dispatch tables, and ms per
-/// MDPO training epoch serial vs data-parallel. Gated (warn-only) against
+/// MDPO training epoch. Gated (warn-only) against
 /// bench/BENCH_nn_baseline.txt.
 void emit_bench_nn(const std::string& path) {
   const auto baseline = read_nn_baseline();
@@ -546,43 +545,19 @@ void emit_bench_nn(const std::string& path) {
     tc.epochs = 1;
     tc.pairs_per_design = 64;
     tc.seed = 515;
-    const auto epoch_ms = [&](int workers) {
-      tc.workers = workers;
-      return timed_ms(
-          [&] {
-            util::Rng rng{77};
-            align::RecipeModel model{align::ModelConfig{}, rng};
-            align::AlignmentTrainer trainer{model, tc};
-            benchmark::DoNotOptimize(trainer.train(dataset, all));
-          },
-          /*warmup=*/1, /*min_total_ms=*/500.0, /*max_iters=*/10);
-    };
+    const double serial_ms = timed_ms(
+        [&] {
+          util::Rng rng{77};
+          align::RecipeModel model{align::ModelConfig{}, rng};
+          align::AlignmentTrainer trainer{model, tc};
+          benchmark::DoNotOptimize(trainer.train(dataset, all));
+        },
+        /*warmup=*/1, /*min_total_ms=*/500.0, /*max_iters=*/10);
     util::Json train = util::Json::object();
     train["designs"] = designs.size();
     train["pairs_per_design"] = tc.pairs_per_design;
     train["minibatch"] = tc.minibatch;
-    // Parallel speedup is hardware-bound: on a single-core host the pool
-    // has no background workers and the fan-out runs inline, so the ratio
-    // measures dispatch overhead, not data parallelism. Record that
-    // honestly instead of letting a ~1.0x read as a scaling result.
-    const auto hw = std::thread::hardware_concurrency();
-    train["hardware_concurrency"] = static_cast<std::size_t>(hw);
-    const double serial_ms = epoch_ms(0);
-    const double parallel_ms = epoch_ms(4);
     train["serial_ms_per_epoch"] = serial_ms;
-    train["parallel_workers"] = 4;
-    train["parallel_ms_per_epoch"] = parallel_ms;
-    train["parallel_speedup"] = serial_ms / parallel_ms;
-    train["parallel_speedup_meaningful"] = hw > 1;
-    if (hw <= 1) {
-      train["note"] = std::string{
-          "single-core host: parallel_speedup measures worker dispatch "
-          "overhead only; re-run on a multicore box for a scaling number"};
-      std::fprintf(stderr,
-                   "WARNING: BENCH_nn: train_epoch parallel_speedup measured "
-                   "on a single-core host (hardware_concurrency=1) — not a "
-                   "data-parallel scaling result\n");
-    }
     root["train_epoch"] = train;
   }
 
@@ -595,24 +570,19 @@ void emit_bench_nn(const std::string& path) {
 // ---------------------------------------------------------------------------
 // BENCH_flow.json: the machine-readable trajectory behind the incremental
 // flow engines. Three sections:
-//   flow_run          — Flow::run (persistent STA timer + incremental
-//                       router + placement memoization) vs
-//                       Flow::run_reference (fresh engines per call) on a
-//                       small / medium / largest suite design, with
-//                       per-stage ms and a QoR bitwise-match self-check.
-//                       The headline acceptance number is total_speedup on
-//                       the largest design (> 2x).
-//   route_incremental — a placement-perturbation schedule on the largest
-//                       design, timing a persistent IncrementalRouter
-//                       against a from-scratch GlobalRouter per step
-//                       (warm-vs-cold ms, pins rerouted per slot, overflow
-//                       counts), plus the partitioned placer at 1 vs 4
-//                       workers (bit-identical by construction).
-//   sta_incremental   — an opt-loop-shaped mutation schedule (retype
-//                       batches + hold-buffer inserts) on the largest
-//                       design, timing one persistent
-//                       IncrementalTimer::analyze per step against
-//                       ctor+analyze of a fresh TimingAnalyzer (>= 5x).
+//   flow_run        — Flow::run (incremental STA timer + placement/route
+//                     memo) vs Flow::run_reference (fresh engines per
+//                     call) on a small / medium / largest suite design,
+//                     re-running one recipe set, with per-stage ms and a
+//                     QoR bitwise-match self-check. A repeated set is the
+//                     memo's best case, not the product workload.
+//   place_parallel  — the partitioned placer at 1 vs 4 workers on the
+//                     largest design (bit-identical by construction).
+//   sta_incremental — an opt-loop-shaped mutation schedule (retype
+//                     batches + hold-buffer inserts) on the largest
+//                     design, timing one persistent
+//                     IncrementalTimer::analyze per step against
+//                     ctor+analyze of a fresh TimingAnalyzer (>= 5x).
 // A plain-text baseline (bench/BENCH_flow_baseline.txt — util::Json has no
 // parser) turns regressions into stderr warnings.
 
@@ -722,26 +692,24 @@ void emit_bench_flow(const std::string& path) {
     root["flow_run"] = std::move(runs);
   }
 
-  // --- route_incremental: rip-up router + partitioned placer -------------
+  // --- place_parallel: partitioned placer, 1 vs 4 workers ----------------
   {
     const flow::Design design{netlist::suite_design(17)};
     const netlist::Netlist& nl = design.netlist();
     const std::uint64_t place_seed = design.traits().seed ^ 0x9e37ULL;
-    const std::uint64_t route_seed = design.traits().seed ^ 0x707eULL;
 
-    // Partitioned placer, 1 vs 4 workers. A private pool supplies real
-    // threads even when the shared pool is empty (1-core hosts); the
-    // result is bit-identical either way, so only wall time differs.
+    // A private pool supplies real threads even when the shared pool is
+    // empty (1-core hosts); the result is bit-identical either way, so only
+    // wall time differs.
     place::PlacerKnobs pk;
     util::ThreadPool pool{3};
     double place_serial_ms = 0.0;
     double place_parallel_ms = 0.0;
-    place::Placement placement;
     for (int iter = 0; iter < 5; ++iter) {
       using clock = std::chrono::steady_clock;
       auto t0 = clock::now();
       place::Placer serial{nl, pk, place_seed, 1};
-      placement = serial.run();
+      const place::Placement placement = serial.run();
       const double s_ms =
           std::chrono::duration<double, std::milli>(clock::now() - t0).count();
       t0 = clock::now();
@@ -756,119 +724,10 @@ void emit_bench_flow(const std::string& path) {
                       wide_p.hpwl == placement.hpwl;
     }
 
-    // Warm-vs-cold routing across an opt-loop-shaped ECO schedule: retype
-    // batches (invisible to routing) and hold-buffer splices placed on top
-    // of their flip-flop (the flow's own move — new pins land in the same
-    // bin, so existing routes replay). This is the cross-run shape the
-    // router actually sees inside Flow::run; die-wide placement changes
-    // instead recalibrate the congestion capacity and take the documented
-    // full-sweep fallback. The persistent router replays retained routes
-    // while the oracle routes from scratch; results stay bitwise equal.
-    const route::RouterKnobs rk;
-    const int rounds = 10;
-    const int sweeps = 2;
-    double warm_ms = 0.0;
-    double cold_ms = 0.0;
-    double repeat_ms = 0.0;
-    bool routes_match = true;
-    route::IncrementalRouter::Stats rstats;
-    std::vector<std::uint64_t> rerouted_per_slot;
-    int overflow_edges = 0;
-    for (int sweep = 0; sweep < sweeps; ++sweep) {
-      netlist::Netlist mnl = design.netlist();
-      const auto& lib = mnl.library();
-      const int buf_type =
-          lib.find(netlist::Func::kBuf, 1, netlist::Vt::kStandard);
-      const std::vector<int> ffs = mnl.flip_flops();
-      place::Placement p = placement;
-      route::IncrementalRouter inc;
-      (void)inc.route(mnl, p, rk, route_seed);  // warm-up full build
-      util::Rng rng{0x2077e5eedULL};
-      using clock = std::chrono::steady_clock;
-      double sweep_warm_ms = 0.0;
-      double sweep_cold_ms = 0.0;
-      for (int round = 0; round < rounds; ++round) {
-        for (int j = 0; j < 16; ++j) {
-          const int cell = rng.uniform_int(0, mnl.cell_count() - 1);
-          if (mnl.cell_type(cell).kind == netlist::CellKind::kFlipFlop) {
-            continue;
-          }
-          const int type = mnl.cell(cell).type;
-          if (const auto up = lib.upsized(type)) {
-            mnl.retype_cell(cell, *up);
-          } else if (const auto fv = lib.faster_vt(type)) {
-            mnl.retype_cell(cell, *fv);
-          }
-        }
-        for (int j = 0; j < 4; ++j) {
-          const int ff = ffs[rng.index(ffs.size())];
-          (void)mnl.insert_buffer_before(ff, 0, buf_type);
-          p.x.push_back(p.x[static_cast<std::size_t>(ff)]);
-          p.y.push_back(p.y[static_cast<std::size_t>(ff)]);
-        }
-        auto t0 = clock::now();
-        const route::RoutingResult& warm = inc.route(mnl, p, rk, route_seed);
-        sweep_warm_ms +=
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-        t0 = clock::now();
-        route::GlobalRouter oracle{mnl, p, rk, route_seed};
-        const route::RoutingResult cold = oracle.run();
-        sweep_cold_ms +=
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-        routes_match = routes_match &&
-                       warm.total_wirelength == cold.total_wirelength &&
-                       warm.overflow_edges == cold.overflow_edges &&
-                       warm.max_utilization == cold.max_utilization &&
-                       warm.drc_violations == cold.drc_violations &&
-                       warm.net_length == cold.net_length;
-        overflow_edges = cold.overflow_edges;
-      }
-      if (sweep == 0 || sweep_warm_ms < warm_ms) warm_ms = sweep_warm_ms;
-      if (sweep == 0 || sweep_cold_ms < cold_ms) cold_ms = sweep_cold_ms;
-      rstats = inc.stats();
-      rerouted_per_slot = inc.last_rerouted_per_slot();
-      // Identical-input repeat: the retained result is returned untouched.
-      // This is the dominant warm case inside Flow::run (memoized
-      // placement + unchanged netlist => unchanged routing inputs).
-      const auto t0 = clock::now();
-      for (int r = 0; r < 20; ++r) {
-        benchmark::DoNotOptimize(inc.route(mnl, p, rk, route_seed));
-      }
-      const double sweep_repeat =
-          std::chrono::duration<double, std::milli>(clock::now() - t0)
-              .count() /
-          20.0;
-      if (sweep == 0 || sweep_repeat < repeat_ms) repeat_ms = sweep_repeat;
-    }
-    all_qor_match = all_qor_match && routes_match;
-
-    util::Json rj = util::Json::object();
-    rj["design"] = design.name();
-    rj["cells"] = nl.cell_count();
-    rj["nets"] = nl.net_count();
-    rj["rounds"] = rounds;
-    rj["warm_route_ms_per_call"] = warm_ms / rounds;
-    rj["cold_route_ms_per_call"] = cold_ms / rounds;
-    rj["route_speedup"] = cold_ms / warm_ms;
-    rj["unchanged_repeat_ms_per_call"] = repeat_ms;
-    rj["routes_bitwise_match"] = routes_match;
-    rj["overflow_edges"] = overflow_edges;
-    rj["dirty_nets"] = rstats.dirty_nets;
-    rj["pins_rerouted"] = rstats.pins_rerouted;
-    rj["pins_reused"] = rstats.pins_reused;
-    rj["capacity_refits"] = rstats.capacity_refits;
-    util::Json per_slot = util::Json::array();
-    for (const std::uint64_t n : rerouted_per_slot) {
-      per_slot.push_back(static_cast<std::size_t>(n));
-    }
-    // Slot 0 is the calibration pre-pass, then one entry per negotiated
-    // round — the "nets rerouted per round" trace for the last call.
-    rj["last_call_rerouted_per_slot"] = std::move(per_slot);
-
     const auto hw = std::thread::hardware_concurrency();
     util::Json pj = util::Json::object();
+    pj["design"] = design.name();
+    pj["cells"] = nl.cell_count();
     pj["serial_ms"] = place_serial_ms;
     pj["parallel_workers"] = 4;
     pj["parallel_ms"] = place_parallel_ms;
@@ -884,10 +743,8 @@ void emit_bench_flow(const std::string& path) {
                    "a single-core host (hardware_concurrency=1) — not a "
                    "scaling result\n");
     }
-    rj["placer"] = std::move(pj);
-    root["route_incremental"] = std::move(rj);
+    root["place_parallel"] = std::move(pj);
 
-    warn_regression("route_warm_ms_per_call_D17", warm_ms / rounds);
     warn_regression("place_serial_ms_D17", place_serial_ms);
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "align/losses.h"
@@ -10,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace vpr::align {
 
@@ -72,9 +70,6 @@ AlignmentTrainer::AlignmentTrainer(RecipeModel& model, TrainConfig config)
       config_.minibatch < 1) {
     throw std::invalid_argument("TrainConfig: bad counts");
   }
-  if (config_.workers < 0) {
-    throw std::invalid_argument("TrainConfig: workers < 0");
-  }
 }
 
 TrainMetrics AlignmentTrainer::train(
@@ -93,18 +88,16 @@ TrainMetrics AlignmentTrainer::train(
     insights[d] = effective_insight(dataset.design(d), config_.blind_insights);
   }
 
-  // One preference pair evaluated in isolation on model `m` (whose
-  // parameters must equal the master's): the gradient of the
-  // 1/minibatch-scaled loss, the loss value, and the ranking verdict.
-  // Because each pair starts from zeroed gradients, the result is a pure
-  // function of (parameters, pair) — independent of scheduling — and the
-  // pair-ordered sum below makes the whole minibatch deterministic.
+  // One preference pair evaluated in isolation: the gradient of the
+  // 1/minibatch-scaled loss, the loss value, and the ranking verdict. Each
+  // pair starts from zeroed gradients and the minibatch sums them in pair
+  // order below, which fixes the floating-point summation order.
   struct PairEval {
     std::vector<double> grad;
     double loss = 0.0;
     bool correct = false;
   };
-  const auto eval_pair = [&](RecipeModel& m, const Pair& pair) -> PairEval {
+  const auto eval_pair = [&](const Pair& pair) -> PairEval {
     const auto& data = dataset.design(pair.design);
     const auto& iv = insights[pair.design];
     const auto bits_w = data.points[pair.winner].recipes.to_bits();
@@ -112,20 +105,20 @@ TrainMetrics AlignmentTrainer::train(
     PairLossTerms terms;
     switch (config_.loss) {
       case LossKind::kMarginDpo:
-        terms = mdpo_pair_loss_terms(m, iv, bits_w, bits_l,
+        terms = mdpo_pair_loss_terms(model_, iv, bits_w, bits_l,
                                      data.points[pair.winner].score,
                                      data.points[pair.loser].score,
                                      config_.lambda);
         break;
       case LossKind::kPlainDpo:
-        terms = dpo_pair_loss_terms(m, iv, bits_w, bits_l, config_.beta);
+        terms = dpo_pair_loss_terms(model_, iv, bits_w, bits_l, config_.beta);
         break;
       case LossKind::kSupervisedNll:
         // Supervised ablation: fit the winner only.
-        terms = nll_loss_terms(m, iv, bits_w);
+        terms = nll_loss_terms(model_, iv, bits_w);
         break;
     }
-    m.zero_grad();
+    model_.zero_grad();
     nn::Tensor scaled =
         nn::scale(terms.loss, 1.0 / static_cast<double>(config_.minibatch));
     scaled.backward();
@@ -133,21 +126,10 @@ TrainMetrics AlignmentTrainer::train(
     // both likelihoods; NLL only has the winner's, so the loser's comes
     // from the tape-free fast path.
     const double lp_w = terms.lp_i.item();
-    const double lp_l =
-        terms.lp_j.defined() ? terms.lp_j.item() : m.log_prob(iv, bits_l);
-    return {m.gradients(), terms.loss.item(), lp_w > lp_l};
+    const double lp_l = terms.lp_j.defined() ? terms.lp_j.item()
+                                             : model_.log_prob(iv, bits_l);
+    return {model_.gradients(), terms.loss.item(), lp_w > lp_l};
   };
-
-  // Replica models for the data-parallel path; refreshed from the master
-  // before each minibatch (parameters only change at step()).
-  std::vector<std::unique_ptr<RecipeModel>> replicas;
-  if (config_.workers > 0) {
-    util::Rng init_rng{config_.seed};  // overwritten by load_state below
-    replicas.resize(static_cast<std::size_t>(config_.minibatch));
-    for (auto& replica : replicas) {
-      replica = std::make_unique<RecipeModel>(model_.config(), init_rng);
-    }
-  }
 
   const auto minibatch = static_cast<std::size_t>(config_.minibatch);
   static obs::Counter& minibatch_counter =
@@ -173,21 +155,8 @@ TrainMetrics AlignmentTrainer::train(
       {
         VPR_TRACE_SPAN("train.minibatch", "train",
                        obs::TraceArgs{{"pairs", count}});
-        if (config_.workers == 0) {
-          for (std::size_t i = 0; i < count; ++i) {
-            evals[i] = eval_pair(model_, pairs[start + i]);
-          }
-        } else {
-          const auto snapshot = model_.state();
-          for (std::size_t i = 0; i < count; ++i) {
-            replicas[i]->load_state(snapshot);
-          }
-          util::ThreadPool::shared().parallel_for(
-              count,
-              [&](std::size_t i) {
-                evals[i] = eval_pair(*replicas[i], pairs[start + i]);
-              },
-              static_cast<unsigned>(config_.workers));
+        for (std::size_t i = 0; i < count; ++i) {
+          evals[i] = eval_pair(pairs[start + i]);
         }
       }
       {

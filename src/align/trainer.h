@@ -28,13 +28,6 @@ struct TrainConfig {
   std::uint64_t seed = 0x7121bULL;
   /// Zero out the insight vector during training/eval (ablation).
   bool blind_insights = false;
-  /// Data-parallel minibatch workers. 0 runs every pair on the calling
-  /// thread; N >= 1 fans the minibatch out over at most N pool
-  /// participants, each with its own model replica. Every pair's gradient
-  /// is computed in isolation and the per-pair gradients are summed in
-  /// pair order before the single Adam step, so metrics and the final
-  /// parameters are bit-for-bit identical for every `workers` value.
-  int workers = 0;
 };
 
 struct TrainMetrics {

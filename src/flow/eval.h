@@ -124,8 +124,8 @@ class FlowEval {
   Shard& shard_for(std::uint64_t fp, std::uint64_t rs) const;
   /// The persistent Flow for `design` (owning its own Design copy so the
   /// caller's may die), creating/LRU-evicting as needed. Keeping Flows
-  /// alive across evaluations is what lets the incremental router and the
-  /// placement cache amortize work across recipe sets on one design.
+  /// alive across evaluations is what lets the placement + route memo
+  /// amortize work across recipe sets on one design.
   std::shared_ptr<FlowHolder> flow_for(const Design& design,
                                        std::uint64_t fp);
 

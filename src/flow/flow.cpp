@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -79,15 +80,19 @@ WireParams wire_params(const netlist::TechNode& node) {
 Design::Design(netlist::DesignTraits traits)
     : traits_(std::move(traits)), netlist_(netlist::generate(traits_)) {}
 
-/// Engines and caches that outlive a single run() on the same Flow. A
-/// try-lock guards the whole structure: the winner of a concurrent race
-/// runs warm, losers take the cold path (identical results, fresh
-/// engines). Placements are memoized because most recipe sets leave the
-/// placer knobs at their defaults, so successive runs on one design
-/// re-place identically; entries are evicted LRU.
+/// Memo that outlives a single run() on the same Flow. A try-lock guards
+/// the whole structure: the winner of a concurrent race runs warm, losers
+/// take the cold path (identical results, fresh engines). Placements are
+/// memoized because most recipe sets leave the placer knobs at their
+/// defaults, so successive runs on one design re-place identically;
+/// entries are evicted LRU. Each entry also keeps the routing results of
+/// its placement per router knobs: the netlist is still the pristine
+/// design netlist when routing runs and the route seed is fixed per
+/// design, so a stored result is bitwise what GlobalRouter would return.
+/// Routes are evicted with their placement, and oldest-first beyond
+/// kMaxPlacements per entry.
 struct Flow::Scratch {
   std::mutex mu;
-  route::IncrementalRouter router;
 
   struct CachedPlacement {
     place::PlacerKnobs knobs;
@@ -96,6 +101,7 @@ struct Flow::Scratch {
     place::Placement placement;
     place::PlaceTrajectory trajectory;
     std::uint64_t tick = 0;
+    std::vector<std::pair<route::RouterKnobs, route::RoutingResult>> routes;
   };
   static constexpr std::size_t kMaxPlacements = 8;
   std::vector<CachedPlacement> placements;
@@ -106,10 +112,6 @@ Flow::Flow(const Design& design)
     : design_(design), scratch_(std::make_unique<Scratch>()) {}
 
 Flow::~Flow() = default;
-
-const route::IncrementalRouter& Flow::incremental_router() const {
-  return scratch_->router;
-}
 
 FlowKnobs Flow::resolve_knobs(const RecipeSet& recipes) const {
   FlowKnobs knobs;  // engine defaults
@@ -180,7 +182,11 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   // On the warm path placements are memoized per (knobs, seed salt,
   // weights): the placer is deterministic, so a cached placement is
   // bitwise what a fresh run would produce. The cache hands out copies —
-  // hold fixing appends buffer locations to the run's placement.
+  // hold fixing appends buffer locations to the run's placement. `memo`
+  // points at the entry of the latest placement; a later make_placement
+  // can reallocate or evict the vector, so only the final call's pointer
+  // is valid.
+  Scratch::CachedPlacement* memo = nullptr;
   const auto make_placement =
       [&](std::uint64_t salt, std::span<const double> weights,
           place::PlaceTrajectory& traj) -> place::Placement {
@@ -191,6 +197,7 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
                        weights.end())) {
           e.tick = ++scratch_->tick;
           traj = e.trajectory;
+          memo = &e;
           return e.placement;
         }
       }
@@ -208,7 +215,8 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
       }
       scratch_->placements.push_back(
           {knobs.place, salt, {weights.begin(), weights.end()}, p, traj,
-           ++scratch_->tick});
+           ++scratch_->tick, {}});
+      memo = &scratch_->placements.back();
     }
     return p;
   };
@@ -270,25 +278,31 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   times.cts_ms += stage_ms("flow.cts", stage_start);
 
   // ----- Global routing -----
-  // Warm path: the persistent IncrementalRouter rips up and reroutes only
-  // what changed since the previous run on this Flow (bitwise-identical
-  // to the from-scratch router). INSIGHTALIGN_ROUTER=full forces the
-  // oracle; run_reference always uses it.
+  // Warm path: reuse the final placement's memoized result for these
+  // router knobs, else route from scratch and store the result.
   stage_start = Clock::now();
-  const bool route_incremental =
-      warm && route::router_mode() != route::RouterMode::kFull;
-  if (route_incremental) {
-    result.routing =
-        scratch_->router.route(nl, placement, knobs.route,
-                               traits.seed ^ 0x707eULL);
+  const route::RoutingResult* memo_route = nullptr;
+  if (memo != nullptr) {
+    for (const auto& [route_knobs, routing] : memo->routes) {
+      if (route_knobs == knobs.route) memo_route = &routing;
+    }
+  }
+  if (memo_route != nullptr) {
+    result.routing = *memo_route;
   } else {
     route::GlobalRouter router{nl, placement, knobs.route,
                                traits.seed ^ 0x707eULL};
     result.routing = router.run();
+    if (memo != nullptr) {
+      if (memo->routes.size() >= Scratch::kMaxPlacements) {
+        memo->routes.erase(memo->routes.begin());
+      }
+      memo->routes.emplace_back(knobs.route, result.routing);
+    }
   }
   times.route_ms += stage_ms(
       "flow.route", stage_start,
-      {{"incremental", route_incremental ? std::int64_t{1} : std::int64_t{0}}});
+      {{"memo_hit", memo_route != nullptr ? std::int64_t{1} : std::int64_t{0}}});
   std::vector<double> net_wl = result.routing.net_length;
 
   // ----- Post-route STA -----

@@ -19,7 +19,6 @@
 #include "netlist/generator.h"
 #include "netlist/netlist.h"
 #include "place/placer.h"
-#include "route/incremental.h"
 #include "route/router.h"
 #include "sta/power.h"
 #include "sta/sta.h"
@@ -100,32 +99,28 @@ class Flow {
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
 
-  /// Runs the full flow with the given recipe set. Deterministic. The fast
-  /// engines persist across calls on the same Flow object and are all
-  /// bitwise-identical to their from-scratch oracles (docs/flow_perf.md):
-  ///  - STA shares one sta::IncrementalTimer;
-  ///  - routing shares one route::IncrementalRouter (unless
-  ///    INSIGHTALIGN_ROUTER=full);
-  ///  - placements are memoized per (placer knobs, seed salt, net weights).
+  /// Runs the full flow with the given recipe set. Deterministic, and
+  /// bitwise-identical to run_reference() (docs/flow_perf.md):
+  ///  - STA within the run shares one sta::IncrementalTimer;
+  ///  - placements are memoized on this Flow per (placer knobs, seed salt,
+  ///    net weights), and each memoized placement keeps its routing
+  ///    results per router knobs (routing runs before optimization touches
+  ///    the netlist, so it is a pure function of placement and knobs).
   /// Thread-safe: concurrent run() calls on one Flow contend on a
   /// try-lock; losers take the cold (reference-engine) path and still
   /// return identical results.
   [[nodiscard]] FlowResult run(const RecipeSet& recipes) const;
 
   /// Same flow with a fresh sta::TimingAnalyzer per STA call, a
-  /// from-scratch GlobalRouter, and no placement reuse — the equivalence
-  /// oracle for run() and the baseline in BENCH_flow.json.
+  /// from-scratch GlobalRouter, and no placement or route reuse — the
+  /// equivalence oracle for run() and the baseline in BENCH_flow.json.
   [[nodiscard]] FlowResult run_reference(const RecipeSet& recipes) const;
 
   /// Knobs after applying `recipes` to the defaults (exposed for tests).
   [[nodiscard]] FlowKnobs resolve_knobs(const RecipeSet& recipes) const;
 
-  /// The persistent router behind run(), for stats inspection in tests
-  /// and benches. Do not call while another thread is inside run().
-  [[nodiscard]] const route::IncrementalRouter& incremental_router() const;
-
  private:
-  struct Scratch;  // persistent engines + placement cache (flow.cpp)
+  struct Scratch;  // placement + route memo (flow.cpp)
 
   [[nodiscard]] FlowResult run_impl(const RecipeSet& recipes,
                                     bool incremental) const;

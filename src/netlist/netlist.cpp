@@ -36,10 +36,8 @@ int Netlist::add_cell(int type, const std::vector<int>& fanins, int out_net) {
   cells_.push_back(std::move(cell));
   const int id = cell_count() - 1;
   nets_[static_cast<std::size_t>(out_net)].driver_cell = id;
-  net_edit_log_.push_back(out_net);
   for (const int n : fanins) {
     nets_[static_cast<std::size_t>(n)].sink_cells.push_back(id);
-    net_edit_log_.push_back(n);
   }
   return id;
 }
@@ -96,12 +94,10 @@ int Netlist::insert_buffer_before(int sink_cell, int pin_index,
     throw std::logic_error("insert_buffer_before: inconsistent connectivity");
   }
   old_sinks.erase(it);
-  net_edit_log_.push_back(old_net);
   // Note: `sink` reference may be invalidated by add_cell's push_back.
   auto& sink_after = cells_[static_cast<std::size_t>(sink_cell)];
   sink_after.fanin_nets[static_cast<std::size_t>(pin_index)] = new_net;
   nets_[static_cast<std::size_t>(new_net)].sink_cells.push_back(sink_cell);
-  net_edit_log_.push_back(new_net);
   // The buffer inherits its sink's locality hints.
   cells_[static_cast<std::size_t>(buf)].cluster = sink_after.cluster;
   cells_[static_cast<std::size_t>(buf)].activity = sink_after.activity;

@@ -98,18 +98,6 @@ class Netlist {
   [[nodiscard]] const std::vector<int>& retype_log() const noexcept {
     return retype_log_;
   }
-  /// Monotonic counter bumped whenever a net's connectivity (driver or
-  /// sink set) changes: add_cell logs the driven net and every fanin net,
-  /// insert_buffer_before additionally logs the spliced net. Incremental
-  /// consumers (e.g. route::IncrementalRouter) holding a previous version
-  /// diff just the net_edit_log tail instead of rescanning every net.
-  [[nodiscard]] std::uint64_t connectivity_version() const noexcept {
-    return static_cast<std::uint64_t>(net_edit_log_.size());
-  }
-  /// Every connectivity-edited net id in call order (duplicates possible).
-  [[nodiscard]] const std::vector<int>& net_edit_log() const noexcept {
-    return net_edit_log_;
-  }
   /// Ids of all flip-flop cells (clock sinks for CTS).
   [[nodiscard]] std::vector<int> flip_flops() const;
 
@@ -133,7 +121,6 @@ class Netlist {
   std::vector<Cell> cells_;
   std::vector<Net> nets_;
   std::vector<int> retype_log_;
-  std::vector<int> net_edit_log_;
   std::vector<int> primary_inputs_;
   std::vector<int> primary_outputs_;
   std::vector<Blockage> blockages_;

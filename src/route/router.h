@@ -7,10 +7,10 @@
 // overflow/DRC estimates, and a per-round overflow trajectory for the
 // insight analyzers.
 //
-// GlobalRouter is the from-scratch oracle; the shared walk/cost/ordering
-// mechanics live in route/walk.h and are also driven by the persistent
-// route::IncrementalRouter (route/incremental.h), which must stay bitwise
-// identical to this router on every input.
+// GlobalRouter is the only router: Flow::run reuses its results through a
+// memo keyed on (placement, RouterKnobs) instead of rerouting
+// incrementally (docs/flow_perf.md). The walk/cost/ordering mechanics live
+// in route/walk.h.
 
 #include <cstdint>
 #include <memory>

@@ -1,12 +1,8 @@
 #pragma once
-// Shared routing core used by both route::GlobalRouter (the from-scratch
-// oracle) and route::IncrementalRouter (the persistent rip-up-and-reroute
-// engine). Everything here defines the QoR contract: both routers must run
-// bit-for-bit the same candidate walks, in the same order, with the same
-// floating-point summation order — the incremental router's whole value
-// proposition is "identical result, fewer walks", and the equivalence tests
-// compare raw doubles. Do not "improve" the arithmetic in this header
-// without updating both routers and the FlowEquiv suite together.
+// Routing core behind route::GlobalRouter. Everything here defines the QoR
+// contract: the candidate walks, their order and the floating-point
+// summation order fix every routed length, and with it every flow's QoR,
+// the offline dataset and the paper tables.
 
 #include <algorithm>
 #include <cmath>
@@ -30,21 +26,17 @@ inline double edge_cost(double usage, double history, double capacity,
   return 1.0 + pressure + history + penalty * over;
 }
 
-/// One driver->sink connection, in bin coordinates. Equality is what the
-/// incremental router's net-level dirty test compares.
+/// One driver->sink connection, in bin coordinates.
 struct TwoPin {
   int net = 0;
   int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-
-  friend bool operator==(const TwoPin&, const TwoPin&) = default;
 };
 
 inline int bin_coord(double v, int grid) {
   return std::clamp(static_cast<int>(v * grid), 0, grid - 1);
 }
 
-/// Knob clamping shared by both routers (the knobs are part of the
-/// incremental router's input fingerprint, so they must clamp identically).
+/// Knob clamping: out-of-range recipe knobs saturate instead of failing.
 inline RouterKnobs clamp_knobs(RouterKnobs knobs) {
   knobs.congestion_effort = std::clamp(knobs.congestion_effort, 0.0, 1.0);
   knobs.capacity_derate = std::clamp(knobs.capacity_derate, 0.5, 1.3);
@@ -54,7 +46,7 @@ inline RouterKnobs clamp_knobs(RouterKnobs knobs) {
 
 /// Two-pin decomposition: driver to each sink bin, dropping same-bin pins.
 /// Output is net-major in ascending net order — per-net pins are contiguous,
-/// which is what lets the incremental router map pin segments across calls.
+/// which is what finalize_result sums over.
 inline void decompose(const netlist::Netlist& nl,
                       const place::Placement& placement, int grid,
                       std::vector<TwoPin>& pins) {
@@ -76,9 +68,7 @@ inline void decompose(const netlist::Netlist& nl,
 }
 
 /// Short connections first: long nets then negotiate around them. The sort
-/// is stable and pins are net-major, so the relative order of unchanged
-/// pins survives insertions/removals elsewhere — the property the
-/// incremental replay relies on.
+/// is stable, so ties keep net-major order.
 inline void shortest_first_order(const std::vector<TwoPin>& pins,
                                  std::vector<std::size_t>& order) {
   order.resize(pins.size());
@@ -94,8 +84,8 @@ inline void shortest_first_order(const std::vector<TwoPin>& pins,
 
 /// The candidate walker over the capacitated bin grid: owns the usage and
 /// history arrays plus the per-pin scratch hoisted out of the route loops.
-/// Both routers drive one of these; capacity and penalty are per-call so
-/// the calibration pre-pass and the negotiated rounds share the code.
+/// Capacity and penalty are per-call so the calibration pre-pass and the
+/// negotiated rounds share the code.
 class EdgeWalker {
  public:
   /// Sizes and zeroes usage + history for `grid` and latches the clamped
@@ -128,8 +118,7 @@ class EdgeWalker {
   /// Routes one two-pin connection, optionally committing edge usage;
   /// returns the path length (in bin steps) via the cheapest candidate.
   /// Each candidate is walked exactly once: the walk records its edges,
-  /// and the winner is committed by replaying the recorded list. The
-  /// winner's edges stay available via best_edges() until the next call.
+  /// and the winner is committed by replaying the recorded list.
   double route_two_pin(const TwoPin& pin, bool commit, double penalty,
                        double capacity) {
     candidates_.clear();
@@ -140,7 +129,9 @@ class EdgeWalker {
       // bounding box, more of them at higher effort.
       const int extra =
           1 + static_cast<int>(std::lround(4.0 * knobs_.congestion_effort));
-      const int margin = candidate_margin(knobs_.congestion_effort);
+      const int margin = knobs_.congestion_effort > 0.6
+                             ? 2
+                             : (knobs_.congestion_effort > 0.3 ? 1 : 0);
       const int lo_x = std::max(0, std::min(pin.x0, pin.x1) - margin);
       const int hi_x = std::min(grid_ - 1, std::max(pin.x0, pin.x1) + margin);
       const int lo_y = std::max(0, std::min(pin.y0, pin.y1) - margin);
@@ -175,14 +166,8 @@ class EdgeWalker {
     return best_length;
   }
 
-  [[nodiscard]] const std::vector<std::uint32_t>& best_edges() const noexcept {
-    return best_edges_;
-  }
-
-  /// Replays a recorded edge list into the usage arrays — how the
-  /// incremental router commits a retained route without re-walking it.
-  /// Usage increments are exact (+1.0 on integral doubles), so replay
-  /// order across pins does not affect the stored values.
+ private:
+  /// Replays a recorded edge list into the usage arrays.
   void commit_edges(const std::vector<std::uint32_t>& edges) {
     for (const std::uint32_t enc : edges) {
       const std::size_t e = enc >> 1;
@@ -194,13 +179,6 @@ class EdgeWalker {
     }
   }
 
-  /// Midpoint margin used for detour candidates; exposed so the
-  /// incremental router can bound the region a pin's candidates can touch.
-  static int candidate_margin(double congestion_effort) {
-    return congestion_effort > 0.6 ? 2 : (congestion_effort > 0.3 ? 1 : 0);
-  }
-
- private:
   /// Costs the path through midpoint (xm, ym), appending each traversed
   /// edge (encoded (index << 1) | is_vertical, duplicates preserved) to
   /// `edges`; returns the cost and writes the step count to *length.
@@ -256,10 +234,7 @@ class EdgeWalker {
 };
 
 /// Sizes edge capacity from the calibration pre-pass usage: headroom over
-/// the mean edge demand, with less headroom at advanced nodes. The exact
-/// summation order matters — the incremental router compares this value
-/// bitwise against the previous call's to decide whether retained round
-/// routes are still valid.
+/// the mean edge demand, with less headroom at advanced nodes.
 inline double calibrate_capacity(const netlist::Netlist& nl,
                                  const RouterKnobs& knobs,
                                  const std::vector<double>& h_usage,
@@ -282,7 +257,7 @@ struct RoundOverflow {
   double max_util = 0.0;
 };
 
-/// End-of-round overflow accounting, in the oracle's exact scan order.
+/// End-of-round overflow accounting, in a fixed scan order.
 inline RoundOverflow account_overflow(const std::vector<double>& h_usage,
                                       const std::vector<double>& v_usage,
                                       double capacity) {
@@ -318,9 +293,7 @@ inline void bump_history(std::vector<double>& h_history,
 
 /// Final per-net lengths, detours, total wirelength and the DRC estimate.
 /// `pins` must be net-major (decompose order) and `pin_length` parallel to
-/// it; overflow fields of `result` must already be set. Re-run in full on
-/// every routing pass (it is O(pins + nets) and reads the live placement,
-/// so sub-bin coordinate changes are always reflected).
+/// it; overflow fields of `result` must already be set.
 inline void finalize_result(const netlist::Netlist& nl,
                             const place::Placement& placement, int grid,
                             const std::vector<TwoPin>& pins,

@@ -8,7 +8,6 @@
 #include "obs/trace.h"
 #include "serve/registry.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace vpr::serve {
 
@@ -450,24 +449,7 @@ void RecommendService::maybe_swap() {
 
 void RecommendService::forward_batch(std::span<const align::BatchStep> steps,
                                      double* probs) {
-  const auto grain = static_cast<std::size_t>(std::max(1, config_.batch_grain));
-  if (config_.batch_workers == 1 || steps.size() <= grain) {
-    align::DecodeSession::step_batch(steps, probs);
-  } else {
-    // Lanes are independent and chunking does not change any per-element
-    // accumulation order, so a parallel chunked forward stays bitwise
-    // identical to the single-call one.
-    const std::size_t chunks = (steps.size() + grain - 1) / grain;
-    util::ThreadPool::shared().parallel_for(
-        chunks,
-        [&](std::size_t c) {
-          const std::size_t begin = c * grain;
-          const std::size_t end = std::min(steps.size(), begin + grain);
-          align::DecodeSession::step_batch(steps.subspan(begin, end - begin),
-                                           probs + begin);
-        },
-        config_.batch_workers);
-  }
+  align::DecodeSession::step_batch(steps, probs);
   ServeMetrics& metrics = ServeMetrics::get();
   metrics.ticks.inc();
   metrics.batched_lanes.inc(steps.size());

@@ -77,12 +77,6 @@ struct ServiceConfig {
   /// where admission can never hit arena exhaustion). Settable below
   /// max_inflight so tests can exercise the admit() exhaustion guard.
   int arena_capacity = 0;
-  /// Thread-pool participants for the batched forward (1 = run inline on
-  /// the batcher thread, 0 = every pool participant). Chunking preserves
-  /// bitwise results, so this only trades latency for parallelism.
-  unsigned batch_workers = 1;
-  /// Lanes per parallel chunk when batch_workers != 1.
-  int batch_grain = 16;
 };
 
 struct Response {

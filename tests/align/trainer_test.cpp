@@ -123,52 +123,6 @@ TEST(AlignmentTrainer, DeterministicTraining) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(AlignmentTrainer, ParallelMinibatchesReproduceSerialBitForBit) {
-  // The data-parallel fan-out must preserve the serial trajectory exactly:
-  // per-pair gradients are computed in isolation and summed in pair order,
-  // so epoch losses, accuracies and the final parameters are identical for
-  // every worker count.
-  auto& w = world();
-  const std::vector<std::size_t> all{0, 1, 2};
-  struct Run {
-    TrainMetrics metrics;
-    std::vector<double> state;
-  };
-  const auto run = [&](int workers, LossKind loss) {
-    util::Rng rng{68};
-    RecipeModel model{ModelConfig{}, rng};
-    TrainConfig tc = fast_config();
-    tc.epochs = 2;
-    tc.workers = workers;
-    tc.loss = loss;
-    AlignmentTrainer trainer{model, tc};
-    return Run{trainer.train(w.dataset, all), model.state()};
-  };
-  for (const LossKind loss :
-       {LossKind::kMarginDpo, LossKind::kSupervisedNll}) {
-    const Run serial = run(0, loss);
-    for (const int workers : {1, 4}) {
-      const Run parallel = run(workers, loss);
-      EXPECT_EQ(serial.metrics.epoch_loss, parallel.metrics.epoch_loss);
-      EXPECT_EQ(serial.metrics.epoch_accuracy,
-                parallel.metrics.epoch_accuracy);
-      EXPECT_EQ(serial.metrics.optimizer_steps,
-                parallel.metrics.optimizer_steps);
-      EXPECT_EQ(serial.state, parallel.state);
-    }
-  }
-}
-
-TEST(AlignmentTrainer, RejectsNegativeWorkers) {
-  auto& w = world();
-  (void)w;
-  util::Rng rng{69};
-  RecipeModel model{ModelConfig{}, rng};
-  TrainConfig tc = fast_config();
-  tc.workers = -1;
-  EXPECT_THROW((AlignmentTrainer{model, tc}), std::invalid_argument);
-}
-
 TEST(ZeroShotEvaluator, FoldAssignmentBalanced) {
   auto& w = world();
   EvalConfig ec;

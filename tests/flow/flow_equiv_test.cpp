@@ -1,15 +1,20 @@
-// Flow::run (persistent IncrementalTimer) vs Flow::run_reference (fresh
-// TimingAnalyzer per STA call) must produce bit-for-bit identical results:
-// the incremental timer and the single-walk router are pure optimizations.
+// Flow::run (incremental STA, placement + route memo) vs
+// Flow::run_reference (fresh TimingAnalyzer per STA call, fresh placer and
+// router every run) must produce bit-for-bit identical results: the
+// incremental timer and the memo are pure optimizations. The memo cases
+// observe hits through the `memo_hit` arg of the flow.route trace span.
 // Also sanity-checks the per-stage wall-clock timers.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "flow/flow.h"
 #include "flow/recipe.h"
 #include "netlist/suite.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace vpr::flow {
@@ -22,6 +27,64 @@ void expect_qor_equal(const Qor& a, const Qor& b, const std::string& what) {
   EXPECT_EQ(a.power, b.power) << what;
   EXPECT_EQ(a.area, b.area) << what;
   EXPECT_EQ(a.drcs, b.drcs) << what;
+}
+
+/// Routing and signoff agree bit-for-bit, not just the QoR scalars.
+void expect_result_equal(const FlowResult& a, const FlowResult& b,
+                         const std::string& what) {
+  expect_qor_equal(a.qor, b.qor, what);
+  EXPECT_EQ(a.routing.net_length, b.routing.net_length) << what;
+  EXPECT_EQ(a.routing.total_wirelength, b.routing.total_wirelength) << what;
+  EXPECT_EQ(a.routing.overflow_edges, b.routing.overflow_edges) << what;
+  EXPECT_EQ(a.routing.round_overflow_edges, b.routing.round_overflow_edges)
+      << what;
+  EXPECT_EQ(a.place_hpwl, b.place_hpwl) << what;
+  EXPECT_EQ(a.final_timing.wns, b.final_timing.wns) << what;
+  EXPECT_EQ(a.final_cell_count, b.final_cell_count) << what;
+}
+
+/// flow.run(rs) with tracing on; `memo_hit` is the flow.route span's arg.
+struct TracedRun {
+  FlowResult result;
+  bool memo_hit = false;
+};
+
+TracedRun run_traced(const Flow& flow, const RecipeSet& rs) {
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  TracedRun out{flow.run(rs)};
+  recorder.set_enabled(false);
+  int route_spans = 0;
+  for (const obs::TraceEvent& e : recorder.snapshot()) {
+    if (e.name != "flow.route") continue;
+    ++route_spans;
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key == "memo_hit") {
+        out.memo_hit = std::get<std::int64_t>(arg.value) == 1;
+      }
+    }
+  }
+  recorder.clear();
+  EXPECT_EQ(route_spans, 1);
+  return out;
+}
+
+/// Runs `rs` warm, checks it against the oracle, and returns whether the
+/// routing came from the memo.
+bool run_matches_reference(const Flow& flow, const RecipeSet& rs) {
+  const TracedRun warm = run_traced(flow, rs);
+  expect_result_equal(warm.result, flow.run_reference(rs),
+                      "recipes=" + rs.to_string());
+  return warm.memo_hit;
+}
+
+int recipe_id(const std::string& name) {
+  for (const Recipe& r : recipe_catalog()) {
+    if (r.name == name) return r.id;
+  }
+  ADD_FAILURE() << "no recipe " << name;
+  return 0;
 }
 
 /// Deterministic sample of `count` recipe sets spanning empty, dense and
@@ -66,11 +129,9 @@ TEST(FlowEquiv, SmallDesignManyRecipeSets) {
 }
 
 TEST(FlowEquiv, AllSuiteDesignsSampledRecipeSets) {
-  // Pin the incremental router on (it is also the kAuto default) so this
-  // suite-wide sweep is explicitly the rip-up-and-reroute equivalence
-  // gate: successive recipe sets on one Flow hit the warm path, and every
-  // warm result must match the cold run_reference oracle bit-for-bit.
-  route::force_router_mode(route::RouterMode::kIncremental);
+  // Successive recipe sets on one Flow hit the warm path (placement and
+  // route memo), and every warm result must match the cold run_reference
+  // oracle bit-for-bit.
   for (int k = 1; k <= netlist::kSuiteSize; ++k) {
     const Design design{netlist::suite_design(k)};
     const Flow flow{design};
@@ -84,43 +145,102 @@ TEST(FlowEquiv, AllSuiteDesignsSampledRecipeSets) {
       EXPECT_EQ(fast.routing.overflow_edges, ref.routing.overflow_edges);
       EXPECT_EQ(fast.final_cell_count, ref.final_cell_count);
     }
-    // The warm path really engaged: every run() on this Flow went through
-    // the persistent router.
-    EXPECT_GE(flow.incremental_router().stats().route_calls, 3u)
-        << design.name();
   }
-  route::clear_forced_router_mode();
 }
 
-TEST(FlowEquiv, ForcedFullRouterMatchesToo) {
-  // The INSIGHTALIGN_ROUTER=full escape hatch routes from scratch every
-  // run; results must not move.
-  const Design design{netlist::suite_design(5)};
-  const Flow flow{design};
-  const RecipeSet rs = RecipeSet::from_ids({2, 7});
-  route::force_router_mode(route::RouterMode::kIncremental);
-  const FlowResult warm = flow.run(rs);
-  route::force_router_mode(route::RouterMode::kFull);
-  const FlowResult full = flow.run(rs);
-  route::clear_forced_router_mode();
-  expect_qor_equal(warm.qor, full.qor, "full-vs-incremental");
-  EXPECT_EQ(warm.routing.total_wirelength, full.routing.total_wirelength);
-}
-
-TEST(FlowEquiv, WarmRepeatShortCircuitsRouting) {
-  route::force_router_mode(route::RouterMode::kIncremental);
+TEST(FlowEquiv, RepeatedRecipeSetHitsRouteMemo) {
   const Design design{netlist::suite_design(3)};
   const Flow flow{design};
   const RecipeSet rs = RecipeSet::from_ids({1});
-  const FlowResult first = flow.run(rs);
-  const FlowResult second = flow.run(rs);
-  expect_qor_equal(first.qor, second.qor, "warm repeat");
-  const auto& stats = flow.incremental_router().stats();
-  EXPECT_EQ(stats.route_calls, 2u);
-  EXPECT_EQ(stats.full_runs, 1u);
-  // Identical inputs: the retained result is returned untouched.
-  EXPECT_GE(stats.unchanged_calls, 1u);
-  route::clear_forced_router_mode();
+  EXPECT_FALSE(run_matches_reference(flow, rs));
+  EXPECT_TRUE(run_matches_reference(flow, rs));
+  EXPECT_TRUE(run_matches_reference(flow, rs));
+}
+
+TEST(FlowEquiv, RouteOnlyRecipeReroutesOnMemoizedPlacement) {
+  // These recipes touch only knobs.route, so every run below shares the
+  // default placement; each new router-knob set routes fresh and is kept
+  // next to the others on that one placement entry.
+  const Design design{netlist::suite_design(5)};
+  const Flow flow{design};
+  const std::vector<RecipeSet> route_only{
+      RecipeSet{},
+      RecipeSet::from_ids({recipe_id("route_effort_high")}),
+      RecipeSet::from_ids({recipe_id("capacity_margin"),
+                           recipe_id("extra_route_rounds")}),
+  };
+  for (const RecipeSet& rs : route_only) {
+    EXPECT_EQ(flow.resolve_knobs(rs).place, flow.resolve_knobs({}).place);
+    EXPECT_FALSE(run_matches_reference(flow, rs)) << rs.to_string();
+  }
+  for (const RecipeSet& rs : route_only) {
+    EXPECT_TRUE(run_matches_reference(flow, rs)) << rs.to_string();
+  }
+}
+
+TEST(FlowEquiv, TimingDrivenPlaceRoutesTheFinalPlacement) {
+  // Timing-driven placement calls make_placement twice; the route memo
+  // must hang off the second (final) placement. Seven placement-only sets
+  // fill the 8-entry memo and evict td's first placement, so the re-run
+  // places twice more, and its second make_placement evicts and appends
+  // after the first one has already taken a memo entry.
+  const Design design{netlist::suite_design(4)};
+  const Flow flow{design};
+  const RecipeSet td = RecipeSet::from_ids({recipe_id("timing_driven_place")});
+  ASSERT_TRUE(flow.resolve_knobs(td).timing_driven_place);
+  EXPECT_FALSE(run_matches_reference(flow, td));
+  EXPECT_TRUE(run_matches_reference(flow, td));
+  for (const char* name :
+       {"density_relax", "density_pack", "place_iterations_deep",
+        "placement_explore", "place_congestion_spread", "area_frugal",
+        "congestion_combo"}) {
+    EXPECT_FALSE(
+        run_matches_reference(flow, RecipeSet::from_ids({recipe_id(name)})))
+        << name;
+  }
+  EXPECT_FALSE(run_matches_reference(flow, td));
+  EXPECT_TRUE(run_matches_reference(flow, td));
+  // Same final placement knobs plus a route-only recipe: placement hit,
+  // route miss.
+  const RecipeSet td_route = RecipeSet::from_ids(
+      {recipe_id("timing_driven_place"), recipe_id("fast_route")});
+  EXPECT_FALSE(run_matches_reference(flow, td_route));
+  EXPECT_TRUE(run_matches_reference(flow, td_route));
+}
+
+TEST(FlowEquiv, EvictedPlacementDropsItsRoutes) {
+  // Ten distinct placements overflow the 8-entry placement memo; the
+  // least recently used placement goes, and its routes with it.
+  const Design design{netlist::suite_design(11)};
+  const Flow flow{design};
+  std::vector<RecipeSet> sets;
+  for (const char* name :
+       {"density_relax", "density_pack", "place_iterations_deep",
+        "placement_explore", "place_congestion_spread", "area_frugal",
+        "congestion_combo"}) {
+    sets.push_back(RecipeSet::from_ids({recipe_id(name)}));
+  }
+  sets.push_back(RecipeSet::from_ids(
+      {recipe_id("density_relax"), recipe_id("placement_explore")}));
+  sets.push_back(RecipeSet::from_ids(
+      {recipe_id("density_pack"), recipe_id("place_iterations_deep")}));
+  sets.push_back(RecipeSet::from_ids(
+      {recipe_id("area_frugal"), recipe_id("place_congestion_spread")}));
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      ASSERT_FALSE(flow.resolve_knobs(sets[i]).place ==
+                   flow.resolve_knobs(sets[j]).place)
+          << sets[i].to_string() << " vs " << sets[j].to_string();
+    }
+  }
+  for (const RecipeSet& rs : sets) {
+    EXPECT_FALSE(run_matches_reference(flow, rs)) << rs.to_string();
+  }
+  // The newest placement is still memoized with its route; the oldest was
+  // evicted and routes from scratch again.
+  EXPECT_TRUE(run_matches_reference(flow, sets.back()));
+  EXPECT_FALSE(run_matches_reference(flow, sets.front()));
+  EXPECT_TRUE(run_matches_reference(flow, sets.front()));
 }
 
 TEST(FlowEquiv, StageTimersArePopulated) {

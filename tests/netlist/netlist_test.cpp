@@ -140,34 +140,5 @@ TEST(Netlist, WeakCellFraction) {
   EXPECT_DOUBLE_EQ(nl.weak_cell_fraction(), 0.5);
 }
 
-TEST(Netlist, ConnectivityEditLogTracksNetEdits) {
-  Micro m;
-  // Building the micro-netlist logged each add_cell: inv drove mid and
-  // read pi, dff drove q and read mid.
-  const std::uint64_t built = m.nl.connectivity_version();
-  EXPECT_EQ(built, 4u);
-  EXPECT_EQ(m.nl.net_edit_log(),
-            (std::vector<int>{m.mid, m.pi, m.q, m.mid}));
-
-  // Retype does not change connectivity: the log must not move.
-  const auto& lib = m.nl.library();
-  m.nl.retype_cell(m.inv, lib.find(Func::kInv, 4, Vt::kStandard));
-  EXPECT_EQ(m.nl.connectivity_version(), built);
-
-  // A hold-buffer splice before the DFF edits the spliced net (sink moves
-  // to the new buffer) and the new net (buffer drives it).
-  const int buf_type = lib.find(Func::kBuf, 1, Vt::kStandard);
-  const int buf = m.nl.insert_buffer_before(m.dff, 0, buf_type);
-  EXPECT_GT(m.nl.connectivity_version(), built);
-  const auto& log = m.nl.net_edit_log();
-  const std::vector<int> tail(log.begin() + static_cast<long>(built),
-                              log.end());
-  // add_cell logged the buffer's output then fanin; the splice then logged
-  // the old net (sink removed) and the new net (sink attached).
-  const int new_net = m.nl.cell(buf).fanout_net;
-  EXPECT_EQ(tail, (std::vector<int>{new_net, m.mid, m.mid, new_net}));
-  EXPECT_NO_THROW(m.nl.validate());
-}
-
 }  // namespace
 }  // namespace vpr::netlist
