@@ -68,12 +68,15 @@ DesignEvaluation ZeroShotEvaluator::evaluate_design(const RecipeModel& model,
   }
   const auto candidates = beam_search(model, iv, beam_width);
 
-  flow::FlowEval& service = flow::FlowEval::shared();
+  std::vector<flow::RecipeSet> sets;
+  for (const auto& cand : candidates) sets.push_back(cand.recipes);
+  std::vector<flow::Qor> qors(sets.size());
+  flow::FlowEval::shared().eval_many(
+      design, sets, [&](std::size_t i, const flow::Qor& q) { qors[i] = q; });
   double best_score = -1e18;
-  for (const auto& cand : candidates) {
-    const flow::Qor q = service.eval(design, cand.recipes);
-    DataPoint p{cand.recipes, q.power, q.tns,
-                data.score_of(q.power, q.tns)};
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const flow::Qor& q = qors[i];
+    DataPoint p{sets[i], q.power, q.tns, data.score_of(q.power, q.tns)};
     eval.recommendations.push_back(p);
     if (p.score > best_score) {
       best_score = p.score;

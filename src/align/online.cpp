@@ -90,9 +90,12 @@ OnlineResult OnlineTuner::run() {
 
     // ----- Propose and evaluate -----
     const auto proposals = propose(rng);
-    for (const auto& rs : proposals) {
-      const flow::Qor q = eval.eval(design_, rs);
-      const DataPoint p{rs, q.power, q.tns,
+    std::vector<flow::Qor> qors(proposals.size());
+    eval.eval_many(design_, proposals,
+                   [&](std::size_t i, const flow::Qor& q) { qors[i] = q; });
+    for (std::size_t i = 0; i < proposals.size(); ++i) {
+      const flow::Qor& q = qors[i];
+      const DataPoint p{proposals[i], q.power, q.tns,
                         design_data_.score_of(q.power, q.tns)};
       record.evaluated.push_back(p);
       history_.push_back(p);

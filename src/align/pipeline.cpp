@@ -67,15 +67,21 @@ std::vector<Recommendation> Pipeline::recommend(const flow::Design& design,
 
   // Beam search revisits the same recipe sets across recommend() calls
   // (and across recommend/tune), so validation goes through FlowEval: a
-  // repeated candidate costs a lookup, not a flow run.
+  // repeated candidate costs a lookup, not a flow run. The candidates are
+  // independent, so they are validated concurrently.
+  const auto candidates = beam_search(*model_, iv, k);
+  std::vector<flow::RecipeSet> sets;
+  for (const auto& cand : candidates) sets.push_back(cand.recipes);
+  std::vector<flow::Qor> qors(sets.size());
+  eval.eval_many(design, sets,
+                 [&](std::size_t i, const flow::Qor& q) { qors[i] = q; });
   std::vector<Recommendation> out;
-  for (const auto& cand : beam_search(*model_, iv, k)) {
-    const flow::Qor q = eval.eval(design, cand.recipes);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     Recommendation rec;
-    rec.recipes = cand.recipes;
-    rec.log_prob = cand.log_prob;
-    rec.power = q.power;
-    rec.tns = q.tns;
+    rec.recipes = candidates[i].recipes;
+    rec.log_prob = candidates[i].log_prob;
+    rec.power = qors[i].power;
+    rec.tns = qors[i].tns;
     if (idx.has_value()) {
       rec.score = dataset_.design(*idx).score_of(rec.power, rec.tns);
     }

@@ -141,11 +141,6 @@ struct FlowEval::Entry {
   Qor qor;
 };
 
-struct FlowEval::ProbeEntry {
-  std::mutex m;
-  std::unique_ptr<FlowResult> result;
-};
-
 struct FlowEval::Shard {
   mutable std::mutex m;
   // fingerprint -> recipe bits -> entry
@@ -154,21 +149,20 @@ struct FlowEval::Shard {
       map;
 };
 
-/// A design's persistent Flow. Owns a Design copy (regenerated from the
-/// traits, which is deterministic) so the cached Flow never dangles on a
-/// caller-owned Design that goes away between evaluations.
+/// A design's persistent Flow and its probing run. Owns a Design copy
+/// (regenerated from the traits, which is deterministic) so the cached
+/// Flow never dangles on a caller-owned Design that goes away between
+/// evaluations. Eviction is LRU over kMaxWarmFlows holders; an evicted
+/// holder stays alive (shared_ptr) until in-flight evaluations on it
+/// finish.
 struct FlowEval::FlowHolder {
   explicit FlowHolder(const Design& d) : design(d.traits()), flow(design) {}
   Design design;
   Flow flow;
-  std::uint64_t tick = 0;
+  std::uint64_t tick = 0;  // guarded by flows_mutex_
+  std::mutex probe_mutex;  // held by the claiming thread while it probes
+  std::unique_ptr<FlowResult> probe;
 };
-
-namespace {
-/// Flows kept warm at once. Eviction is LRU; an evicted holder stays alive
-/// (shared_ptr) until in-flight evaluations on it finish.
-constexpr std::size_t kMaxWarmFlows = 12;
-}  // namespace
 
 std::shared_ptr<FlowEval::FlowHolder> FlowEval::flow_for(const Design& design,
                                                          std::uint64_t fp) {
@@ -280,31 +274,24 @@ Qor FlowEval::eval(const Design& design, const RecipeSet& recipes) {
 }
 
 const FlowResult& FlowEval::probe(const Design& design) {
-  const std::uint64_t fp = fingerprint(design);
-  std::shared_ptr<ProbeEntry> entry;
-  {
-    std::lock_guard lk{probe_mutex_};
-    std::shared_ptr<ProbeEntry>& slot = probes_[fp];
-    if (!slot) slot = std::make_shared<ProbeEntry>();
-    entry = slot;
-  }
-  std::unique_lock elk{entry->m};
+  const std::shared_ptr<FlowHolder> holder =
+      flow_for(design, fingerprint(design));
+  std::lock_guard lk{holder->probe_mutex};
   EvalMetrics& metrics = EvalMetrics::get();
-  if (entry->result) {
+  if (holder->probe) {
     metrics.probe_hits.inc();
-    return *entry->result;
+    return *holder->probe;
   }
   VPR_TRACE_SPAN("flow.eval.probe", "flow",
                  obs::TraceArgs{{"design", design.name()}});
   const auto e0 = Clock::now();
-  const std::shared_ptr<FlowHolder> holder = flow_for(design, fp);
-  entry->result = std::make_unique<FlowResult>(holder->flow.run(RecipeSet{}));
+  holder->probe = std::make_unique<FlowResult>(holder->flow.run(RecipeSet{}));
   const double elapsed = seconds_since(e0);
   metrics.probe_misses.inc();
   metrics.eval_seconds.add(elapsed);
   metrics.eval_ms.observe(elapsed * 1e3);
-  accumulate_stage_times(entry->result->stage_times);
-  return *entry->result;
+  accumulate_stage_times(holder->probe->stage_times);
+  return *holder->probe;
 }
 
 void FlowEval::eval_many(
@@ -330,10 +317,6 @@ void FlowEval::clear() {
   for (auto& shard : shards_) {
     std::lock_guard lk{shard->m};
     shard->map.clear();
-  }
-  {
-    std::lock_guard lk{probe_mutex_};
-    probes_.clear();
   }
   {
     std::lock_guard lk{flows_mutex_};

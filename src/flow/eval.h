@@ -11,7 +11,8 @@
 // contention off the parallel evaluation paths. Concurrent requests for the
 // same key block on the entry until the single evaluation finishes (hit),
 // never duplicating work. Probing runs (default recipe set, full FlowResult
-// kept for insight extraction) have a dedicated cache keyed by fingerprint.
+// kept for insight extraction) are kept with the design's warm Flow and
+// evicted with it (kMaxWarmFlows, LRU).
 //
 // Observability: hit/miss/evaluation counters and wall-time per service
 // stage (lookup, evaluation, disk I/O) live in the process-wide
@@ -80,9 +81,15 @@ class FlowEval {
   /// Flow::run exactly once per (fingerprint, recipe set) key.
   Qor eval(const Design& design, const RecipeSet& recipes);
 
+  /// Designs whose warm Flow (placement + route memo) and probing run are
+  /// kept at once; the least recently used design is evicted beyond it.
+  static constexpr std::size_t kMaxWarmFlows = 12;
+
   /// Memoized probing run (default recipe set), with the full FlowResult
   /// retained for insight extraction. The reference stays valid until
-  /// clear() or destruction.
+  /// clear(), destruction, or until kMaxWarmFlows further distinct designs
+  /// have been probed or evaluated (the design's warm Flow, which holds
+  /// the result, is then evicted; probing it again re-runs the flow).
   const FlowResult& probe(const Design& design);
 
   /// Evaluates `sets` (deduplicated via the cache) on the shared
@@ -117,21 +124,19 @@ class FlowEval {
 
  private:
   struct Entry;
-  struct ProbeEntry;
   struct Shard;
   struct FlowHolder;
 
   Shard& shard_for(std::uint64_t fp, std::uint64_t rs) const;
-  /// The persistent Flow for `design` (owning its own Design copy so the
-  /// caller's may die), creating/LRU-evicting as needed. Keeping Flows
-  /// alive across evaluations is what lets the placement + route memo
-  /// amortize work across recipe sets on one design.
+  /// The persistent Flow and probe slot for `design` (owning its own
+  /// Design copy so the caller's may die), creating/LRU-evicting as
+  /// needed. Keeping Flows alive across evaluations is what lets the
+  /// placement + route memo amortize work across recipe sets on one
+  /// design.
   std::shared_ptr<FlowHolder> flow_for(const Design& design,
                                        std::uint64_t fp);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex probe_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<ProbeEntry>> probes_;
   mutable std::mutex flows_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<FlowHolder>> flows_;
   std::uint64_t flow_tick_ = 0;

@@ -80,31 +80,93 @@ WireParams wire_params(const netlist::TechNode& node) {
 Design::Design(netlist::DesignTraits traits)
     : traits_(std::move(traits)), netlist_(netlist::generate(traits_)) {}
 
-/// Memo that outlives a single run() on the same Flow. A try-lock guards
-/// the whole structure: the winner of a concurrent race runs warm, losers
-/// take the cold path (identical results, fresh engines). Placements are
-/// memoized because most recipe sets leave the placer knobs at their
-/// defaults, so successive runs on one design re-place identically;
-/// entries are evicted LRU. Each entry also keeps the routing results of
-/// its placement per router knobs: the netlist is still the pristine
-/// design netlist when routing runs and the route seed is fixed per
-/// design, so a stored result is bitwise what GlobalRouter would return.
-/// Routes are evicted with their placement, and oldest-first beyond
-/// kMaxPlacements per entry.
+/// Memo that outlives a single run() on the same Flow, shared by
+/// concurrent runs. Placements are memoized because most recipe sets
+/// leave the placer knobs at their defaults, so successive runs on one
+/// design re-place identically; entries are evicted LRU. Each entry also
+/// keeps the routing results of its placement per router knobs: the
+/// netlist is still the pristine design netlist when routing runs and the
+/// route seed is fixed per design, so a stored result is bitwise what
+/// GlobalRouter would return. Routes are evicted with their placement,
+/// and oldest-first beyond kMaxPlacements per entry.
+///
+/// Every entry is claimed once, like FlowEval's entries: `mu` is held
+/// only to look up, insert and evict, and the first run to lock a new
+/// entry computes its value while holding the entry's own mutex, so a
+/// concurrent run with the same key blocks on it and then copies the
+/// result instead of placing or routing again. Runs hold entries by
+/// shared_ptr, so an entry evicted mid-run stays valid for them.
 struct Flow::Scratch {
-  std::mutex mu;
+  struct CachedRoute {
+    explicit CachedRoute(const route::RouterKnobs& k) : knobs(k) {}
+    const route::RouterKnobs knobs;
+    std::mutex mu;  // held by the claiming run while it routes
+    bool ready = false;
+    route::RoutingResult routing;
+  };
 
   struct CachedPlacement {
-    place::PlacerKnobs knobs;
-    std::uint64_t salt = 0;  // seed salt (initial vs timing-driven pass)
-    std::vector<double> weights;
+    CachedPlacement(const place::PlacerKnobs& k, std::uint64_t s,
+                    std::span<const double> w)
+        : knobs(k), salt(s), weights(w.begin(), w.end()) {}
+    const place::PlacerKnobs knobs;
+    const std::uint64_t salt;  // seed salt (initial vs timing-driven pass)
+    const std::vector<double> weights;
+    std::mutex mu;  // held by the claiming run while it places
+    bool ready = false;
     place::Placement placement;
     place::PlaceTrajectory trajectory;
+    // Guarded by Scratch::mu.
     std::uint64_t tick = 0;
-    std::vector<std::pair<route::RouterKnobs, route::RoutingResult>> routes;
+    std::vector<std::shared_ptr<CachedRoute>> routes;
   };
+
   static constexpr std::size_t kMaxPlacements = 8;
-  std::vector<CachedPlacement> placements;
+
+  /// The entry for (knobs, salt, weights), inserted (evicting the least
+  /// recently used one) if absent.
+  std::shared_ptr<CachedPlacement> placement_entry(
+      const place::PlacerKnobs& knobs, std::uint64_t salt,
+      std::span<const double> weights) {
+    std::lock_guard lk{mu};
+    for (const auto& e : placements) {
+      if (e->salt == salt && e->knobs == knobs &&
+          std::equal(e->weights.begin(), e->weights.end(), weights.begin(),
+                     weights.end())) {
+        e->tick = ++tick;
+        return e;
+      }
+    }
+    if (placements.size() >= kMaxPlacements) {
+      auto oldest = placements.begin();
+      for (auto it = oldest; it != placements.end(); ++it) {
+        if ((*it)->tick < (*oldest)->tick) oldest = it;
+      }
+      placements.erase(oldest);
+    }
+    auto e = std::make_shared<CachedPlacement>(knobs, salt, weights);
+    e->tick = ++tick;
+    placements.push_back(e);
+    return e;
+  }
+
+  /// The route entry for `knobs` under `placement`, inserted (evicting
+  /// the oldest one) if absent.
+  std::shared_ptr<CachedRoute> route_entry(CachedPlacement& placement,
+                                           const route::RouterKnobs& knobs) {
+    std::lock_guard lk{mu};
+    for (const auto& r : placement.routes) {
+      if (r->knobs == knobs) return r;
+    }
+    if (placement.routes.size() >= kMaxPlacements) {
+      placement.routes.erase(placement.routes.begin());
+    }
+    return placement.routes.emplace_back(
+        std::make_shared<CachedRoute>(knobs));
+  }
+
+  std::mutex mu;  // guards placements, tick and each entry's tick/routes
+  std::vector<std::shared_ptr<CachedPlacement>> placements;
   std::uint64_t tick = 0;
 };
 
@@ -129,13 +191,6 @@ FlowResult Flow::run_reference(const RecipeSet& recipes) const {
 
 FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   const auto run_start = Clock::now();
-  // Warm path: exclusive use of the persistent engines. If another thread
-  // already holds them, this run proceeds cold — same results either way.
-  std::unique_lock<std::mutex> scratch_lk;
-  if (incremental) {
-    scratch_lk = std::unique_lock{scratch_->mu, std::try_to_lock};
-  }
-  const bool warm = incremental && scratch_lk.owns_lock();
   static obs::Counter& runs_counter = obs::MetricsRegistry::instance().counter(
       "flow.runs", "Flow::run executions (incremental + reference)");
   runs_counter.inc();
@@ -179,46 +234,33 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   };
 
   // ----- Placement -----
-  // On the warm path placements are memoized per (knobs, seed salt,
-  // weights): the placer is deterministic, so a cached placement is
-  // bitwise what a fresh run would produce. The cache hands out copies —
-  // hold fixing appends buffer locations to the run's placement. `memo`
-  // points at the entry of the latest placement; a later make_placement
-  // can reallocate or evict the vector, so only the final call's pointer
-  // is valid.
-  Scratch::CachedPlacement* memo = nullptr;
+  // Incremental runs memoize placements per (knobs, seed salt, weights):
+  // the placer is deterministic, so a cached placement is bitwise what a
+  // fresh run would produce. The memo hands out copies — hold fixing
+  // appends buffer locations to the run's placement. `memo` is the entry
+  // of the latest (final) placement, which routing is memoized under.
+  std::shared_ptr<Scratch::CachedPlacement> memo;
   const auto make_placement =
       [&](std::uint64_t salt, std::span<const double> weights,
           place::PlaceTrajectory& traj) -> place::Placement {
-    if (warm) {
-      for (auto& e : scratch_->placements) {
-        if (e.salt == salt && e.knobs == knobs.place &&
-            std::equal(e.weights.begin(), e.weights.end(), weights.begin(),
-                       weights.end())) {
-          e.tick = ++scratch_->tick;
-          traj = e.trajectory;
-          memo = &e;
-          return e.placement;
-        }
-      }
+    const auto run_placer = [&](place::PlaceTrajectory& out) {
+      place::Placer placer{nl, knobs.place, traits.seed ^ salt,
+                           incremental ? place_workers() : 1};
+      return placer.run(weights, &out);
+    };
+    if (!incremental) return run_placer(traj);
+    memo = scratch_->placement_entry(knobs.place, salt, weights);
+    std::lock_guard lk{memo->mu};
+    if (!memo->ready) {
+      // The placer appends to its trajectory, so a run retrying after a
+      // throw must not start from the failed run's partial one.
+      place::PlaceTrajectory fresh;
+      memo->placement = run_placer(fresh);
+      memo->trajectory = std::move(fresh);
+      memo->ready = true;
     }
-    place::Placer placer{nl, knobs.place, traits.seed ^ salt,
-                         incremental ? place_workers() : 1};
-    place::Placement p = placer.run(weights, &traj);
-    if (warm) {
-      if (scratch_->placements.size() >= Scratch::kMaxPlacements) {
-        auto oldest = scratch_->placements.begin();
-        for (auto it = oldest; it != scratch_->placements.end(); ++it) {
-          if (it->tick < oldest->tick) oldest = it;
-        }
-        scratch_->placements.erase(oldest);
-      }
-      scratch_->placements.push_back(
-          {knobs.place, salt, {weights.begin(), weights.end()}, p, traj,
-           ++scratch_->tick, {}});
-      memo = &scratch_->placements.back();
-    }
-    return p;
+    traj = memo->trajectory;
+    return memo->placement;
   };
 
   auto stage_start = Clock::now();
@@ -278,31 +320,30 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   times.cts_ms += stage_ms("flow.cts", stage_start);
 
   // ----- Global routing -----
-  // Warm path: reuse the final placement's memoized result for these
-  // router knobs, else route from scratch and store the result.
+  // Incremental runs reuse the final placement's memoized result for these
+  // router knobs, or route and store it if this run claims the entry.
   stage_start = Clock::now();
-  const route::RoutingResult* memo_route = nullptr;
-  if (memo != nullptr) {
-    for (const auto& [route_knobs, routing] : memo->routes) {
-      if (route_knobs == knobs.route) memo_route = &routing;
-    }
-  }
-  if (memo_route != nullptr) {
-    result.routing = *memo_route;
-  } else {
+  const auto run_router = [&] {
     route::GlobalRouter router{nl, placement, knobs.route,
                                traits.seed ^ 0x707eULL};
-    result.routing = router.run();
-    if (memo != nullptr) {
-      if (memo->routes.size() >= Scratch::kMaxPlacements) {
-        memo->routes.erase(memo->routes.begin());
-      }
-      memo->routes.emplace_back(knobs.route, result.routing);
+    return router.run();
+  };
+  bool memo_hit = false;
+  if (memo != nullptr) {
+    const auto entry = scratch_->route_entry(*memo, knobs.route);
+    std::lock_guard lk{entry->mu};
+    memo_hit = entry->ready;
+    if (!entry->ready) {
+      entry->routing = run_router();
+      entry->ready = true;
     }
+    result.routing = entry->routing;
+  } else {
+    result.routing = run_router();
   }
   times.route_ms += stage_ms(
       "flow.route", stage_start,
-      {{"memo_hit", memo_route != nullptr ? std::int64_t{1} : std::int64_t{0}}});
+      {{"memo_hit", memo_hit ? std::int64_t{1} : std::int64_t{0}}});
   std::vector<double> net_wl = result.routing.net_length;
 
   // ----- Post-route STA -----
@@ -385,7 +426,6 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
       {{"design", traits.name},
        {"recipes", recipes.to_string()},
        {"incremental", incremental ? std::int64_t{1} : std::int64_t{0}},
-       {"warm", warm ? std::int64_t{1} : std::int64_t{0}},
        {"cells", result.final_cell_count}});
   return result;
 }

@@ -106,9 +106,10 @@ class Flow {
   ///    net weights), and each memoized placement keeps its routing
   ///    results per router knobs (routing runs before optimization touches
   ///    the netlist, so it is a pure function of placement and knobs).
-  /// Thread-safe: concurrent run() calls on one Flow contend on a
-  /// try-lock; losers take the cold (reference-engine) path and still
-  /// return identical results.
+  /// Thread-safe: concurrent run() calls on one Flow share the memo. Each
+  /// placement and route is computed once, by the first run to claim it;
+  /// a concurrent run with the same key waits for that result and copies
+  /// it.
   [[nodiscard]] FlowResult run(const RecipeSet& recipes) const;
 
   /// Same flow with a fresh sta::TimingAnalyzer per STA call, a

@@ -71,21 +71,31 @@ int OptEngine::fix_setup(const sta::TimingReport& report) {
   const auto order =
       cells_by_slack_prefix(report, budget > 0 ? eligible : 0,
                             /*ascending=*/true);
+  // The area limit is checked before every visit. A running area keeps
+  // that O(1); its drift from the exact sum is far below 1e-9 relative,
+  // so re-summing exactly whenever it comes that close to the limit keeps
+  // every break decision identical to comparing total_area() itself.
+  const double area_limit = initial_area_ * (1.0 + knobs_.max_area_growth);
+  double area = nl_.total_area();
+  const auto retype = [&](int cell, int from, int to) {
+    nl_.retype_cell(cell, to);
+    area += lib.cell(to).area - lib.cell(from).area;
+  };
   int changed = 0;
   for (const int c : order) {
     if (changed >= budget) break;
-    if (nl_.total_area() >
-        initial_area_ * (1.0 + knobs_.max_area_growth)) {
-      break;
+    if (std::fabs(area - area_limit) <= 1e-9 * std::fabs(area_limit)) {
+      area = nl_.total_area();
     }
+    if (area > area_limit) break;
     const int type = nl_.cell(c).type;
     if (const auto up = lib.upsized(type)) {
-      nl_.retype_cell(c, *up);
+      retype(c, type, *up);
       ++stats_.upsized;
       ++changed;
     } else if (knobs_.setup_use_lvt) {
       if (const auto fast = lib.faster_vt(type)) {
-        nl_.retype_cell(c, *fast);
+        retype(c, type, *fast);
         ++stats_.vt_accelerated;
         ++changed;
       }

@@ -541,7 +541,6 @@ void IncrementalTimer::forward_sweep() {
 void IncrementalTimer::full_refresh(std::span<const double> net_wirelength,
                                     std::span<const double> clock_arrival,
                                     const TimingOptions& options) {
-  const int n_cells = nl_.cell_count();
   const int n_nets = nl_.net_count();
   if (net_wirelength.empty()) {
     std::fill(wl_.begin(), wl_.end(), default_wirelength(nl_));

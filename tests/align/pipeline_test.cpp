@@ -4,9 +4,13 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <vector>
 
+#include "align/beam.h"
 #include "flow/eval.h"
+#include "insight/insight.h"
 
 namespace vpr::align {
 namespace {
@@ -134,6 +138,48 @@ TEST(Pipeline, DeterministicFit) {
     return p.model().state();
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(Pipeline, RecommendMatchesSerialValidationOfBeamCandidates) {
+  // recommend validates its candidates concurrently; the result must equal
+  // validating beam_search's candidates one by one, in order, on a
+  // separate FlowEval that runs every flow itself.
+  auto& p = fitted_pipeline();
+  // d1 is in the fitted archive (insight from it, scored); unseen is not
+  // (insight from a probe, no score).
+  const std::optional<std::size_t> in_archive[] = {0, std::nullopt};
+  const flow::Design* designs[] = {&world().d1, &world().unseen};
+  ASSERT_EQ(p.dataset().design(0).name, world().d1.name());
+  for (int d = 0; d < 2; ++d) {
+    const flow::Design* design = designs[d];
+    const auto idx = in_archive[d];
+    const auto recs = p.recommend(*design, 3);
+    flow::FlowEval serial;
+    std::vector<double> iv;
+    if (idx.has_value()) {
+      iv = p.dataset().design(*idx).insight();
+    } else {
+      const auto vec = insight::analyze(*design, serial.probe(*design));
+      iv.assign(vec.begin(), vec.end());
+    }
+    const auto candidates = beam_search(p.model(), iv, 3);
+    ASSERT_EQ(recs.size(), candidates.size()) << design->name();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const flow::Qor q = serial.eval(*design, candidates[i].recipes);
+      EXPECT_EQ(recs[i].recipes, candidates[i].recipes) << i;
+      EXPECT_EQ(recs[i].log_prob, candidates[i].log_prob) << i;
+      EXPECT_EQ(recs[i].power, q.power) << i;
+      EXPECT_EQ(recs[i].tns, q.tns) << i;
+      if (idx.has_value()) {
+        ASSERT_TRUE(recs[i].score.has_value());
+        EXPECT_EQ(*recs[i].score,
+                  p.dataset().design(*idx).score_of(q.power, q.tns))
+            << i;
+      } else {
+        EXPECT_FALSE(recs[i].score.has_value());
+      }
+    }
+  }
 }
 
 TEST(Pipeline, WarmRecommendIssuesNoNewEvaluations) {

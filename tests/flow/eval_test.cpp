@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace vpr::flow {
@@ -87,6 +89,35 @@ TEST(FlowEval, ProbeRunsOncePerDesign) {
   const auto s = eval.stats();
   EXPECT_EQ(s.probe_misses, 1u);
   EXPECT_EQ(s.probe_hits, 1u);
+}
+
+TEST(FlowEval, ProbeIsEvictedWithItsWarmFlow) {
+  // Probes live with the design's warm Flow, so probing more than
+  // kMaxWarmFlows designs evicts the least recently used one; probing it
+  // again re-runs the (deterministic) flow.
+  FlowEval eval{4};
+  std::vector<std::unique_ptr<Design>> designs;
+  for (std::size_t i = 0; i <= FlowEval::kMaxWarmFlows; ++i) {
+    netlist::DesignTraits t = eval_traits("evLru", 9100 + i);
+    t.name += std::to_string(i);
+    t.target_cells = 200;
+    designs.push_back(std::make_unique<Design>(t));
+  }
+  const Qor oldest = eval.probe(*designs.front()).qor;
+  for (std::size_t i = 1; i < designs.size(); ++i) {
+    (void)eval.probe(*designs[i]);
+  }
+  EXPECT_EQ(eval.stats().probe_misses, designs.size());
+  (void)eval.probe(*designs.back());  // still warm
+  EXPECT_EQ(eval.stats().probe_hits, 1u);
+  const Qor again = eval.probe(*designs.front()).qor;
+  EXPECT_EQ(eval.stats().probe_misses, designs.size() + 1);
+  EXPECT_EQ(again.wns, oldest.wns);
+  EXPECT_EQ(again.tns, oldest.tns);
+  EXPECT_EQ(again.hold_tns, oldest.hold_tns);
+  EXPECT_EQ(again.power, oldest.power);
+  EXPECT_EQ(again.area, oldest.area);
+  EXPECT_EQ(again.drcs, oldest.drcs);
 }
 
 TEST(FlowEval, EvalManyPopulatesEverySlot) {

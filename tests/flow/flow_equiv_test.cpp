@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -241,6 +243,92 @@ TEST(FlowEquiv, EvictedPlacementDropsItsRoutes) {
   EXPECT_TRUE(run_matches_reference(flow, sets.back()));
   EXPECT_FALSE(run_matches_reference(flow, sets.front()));
   EXPECT_TRUE(run_matches_reference(flow, sets.front()));
+}
+
+TEST(FlowEquiv, ConcurrentRunsOnOneFlowClaimEachRouteOnce) {
+  // Threads run overlapping recipe sets on one Flow at once. The sets
+  // share the default placement (or the timing-driven one) and differ in
+  // knobs.route; some differ only in optimization knobs and so share a
+  // route key with another set. Each placement and route is claimed once:
+  // concurrent runs with the same key wait for it instead of recomputing,
+  // so exactly one run per distinct route key routes from scratch.
+  const Design design{netlist::suite_design(11)};
+  const Flow flow{design};
+  const int td = recipe_id("timing_driven_place");
+  const std::vector<RecipeSet> sets{
+      RecipeSet{},
+      RecipeSet::from_ids({recipe_id("route_effort_high")}),
+      RecipeSet::from_ids({recipe_id("route_effort_high"),
+                           recipe_id("power_recovery_deep")}),
+      RecipeSet::from_ids({recipe_id("capacity_margin"),
+                           recipe_id("extra_route_rounds")}),
+      RecipeSet::from_ids({recipe_id("fast_route")}),
+      RecipeSet::from_ids({td}),
+      RecipeSet::from_ids({td, recipe_id("power_recovery_deep")}),
+      RecipeSet::from_ids({td, recipe_id("fast_route")}),
+  };
+  std::vector<std::pair<bool, route::RouterKnobs>> route_keys;
+  for (const RecipeSet& rs : sets) {
+    const FlowKnobs k = flow.resolve_knobs(rs);
+    EXPECT_EQ(k.place,
+              flow.resolve_knobs(k.timing_driven_place
+                                     ? RecipeSet::from_ids({td})
+                                     : RecipeSet{})
+                  .place)
+        << rs.to_string();
+    const std::pair<bool, route::RouterKnobs> key{k.timing_driven_place,
+                                                  k.route};
+    if (std::find(route_keys.begin(), route_keys.end(), key) ==
+        route_keys.end()) {
+      route_keys.push_back(key);
+    }
+  }
+  ASSERT_LT(route_keys.size(), sets.size());  // some sets share a key
+
+  constexpr std::size_t kThreads = 4;
+  // results[t][i]: thread t's run of sets[i].
+  std::vector<std::vector<FlowResult>> results(
+      kThreads, std::vector<FlowResult>(sets.size()));
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread runs every set, starting at its own offset.
+        for (std::size_t n = 0; n < sets.size(); ++n) {
+          const std::size_t i = (n + 3 * t) % sets.size();
+          results[t][i] = flow.run(sets[i]);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  recorder.set_enabled(false);
+  std::size_t routed = 0;
+  std::size_t route_spans = 0;
+  for (const obs::TraceEvent& e : recorder.snapshot()) {
+    if (e.name != "flow.route") continue;
+    ++route_spans;
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key == "memo_hit" && std::get<std::int64_t>(arg.value) == 0) {
+        ++routed;
+      }
+    }
+  }
+  recorder.clear();
+  EXPECT_EQ(route_spans, kThreads * sets.size());
+  EXPECT_EQ(routed, route_keys.size());
+
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const FlowResult ref = flow.run_reference(sets[i]);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      expect_result_equal(results[t][i], ref,
+                          "thread " + std::to_string(t) +
+                              " recipes=" + sets[i].to_string());
+    }
+  }
 }
 
 TEST(FlowEquiv, StageTimersArePopulated) {
