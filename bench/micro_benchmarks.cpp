@@ -5,7 +5,7 @@
 
 // Invoked with no arguments it first emits BENCH_nn.json (tape-free vs
 // tape inference timings, see emit_bench_nn below), BENCH_flow.json
-// (incremental vs from-scratch flow/STA timings, see emit_bench_flow) and
+// (Flow::run vs Flow::run_reference timings, see emit_bench_flow) and
 // BENCH_obs.json (disabled-tracing overhead, see emit_bench_obs), then
 // runs the google-benchmark suite; `--bench_nn_only` stops after
 // BENCH_nn.json, `--bench_flow_only` emits only BENCH_flow.json and
@@ -35,7 +35,6 @@
 #include "obs/trace.h"
 #include "place/placer.h"
 #include "route/router.h"
-#include "sta/incremental.h"
 #include "sta/sta.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -568,9 +567,9 @@ void emit_bench_nn(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_flow.json: the machine-readable trajectory behind the incremental
-// flow engines. Three sections:
-//   flow_run        — Flow::run (incremental STA timer + placement/route
+// BENCH_flow.json: the machine-readable trajectory behind the flow's
+// reuse paths. Two sections:
+//   flow_run        — Flow::run (one STA analyzer per run + placement/route
 //                     memo) vs Flow::run_reference (fresh engines per
 //                     call) on a small / medium / largest suite design,
 //                     re-running one recipe set, with per-stage ms and a
@@ -578,11 +577,6 @@ void emit_bench_nn(const std::string& path) {
 //                     memo's best case, not the product workload.
 //   place_parallel  — the partitioned placer at 1 vs 4 workers on the
 //                     largest design (bit-identical by construction).
-//   sta_incremental — an opt-loop-shaped mutation schedule (retype
-//                     batches + hold-buffer inserts) on the largest
-//                     design, timing one persistent
-//                     IncrementalTimer::analyze per step against
-//                     ctor+analyze of a fresh TimingAnalyzer (>= 5x).
 // A plain-text baseline (bench/BENCH_flow_baseline.txt — util::Json has no
 // parser) turns regressions into stderr warnings.
 
@@ -748,115 +742,11 @@ void emit_bench_flow(const std::string& path) {
     warn_regression("place_serial_ms_D17", place_serial_ms);
   }
 
-  // --- sta_incremental: opt-loop mutation schedule on the largest design ---
-  {
-    const flow::Design design{netlist::suite_design(17)};
-    const int rounds = 30;
-    const int sweeps = 3;  // identical deterministic sweeps; best-of cancels
-                           // scheduler noise on the ~0.3 ms incremental calls
-    double inc_ms = 0.0;
-    double scratch_ms = 0.0;
-    bool reports_match = true;
-    int final_cells = 0;
-    sta::IncrementalTimer::Stats stats;
-    for (int sweep = 0; sweep < sweeps; ++sweep) {
-      netlist::Netlist nl = design.netlist();
-      const auto& lib = nl.library();
-      const int buf_type =
-          lib.find(netlist::Func::kBuf, 1, netlist::Vt::kStandard);
-      sta::TimingOptions opt;
-      opt.wire_cap_per_unit = 0.15;
-      opt.wire_delay_per_unit = 0.08;
-
-      sta::IncrementalTimer inc{nl};
-      std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.015);
-      const std::vector<int> ffs = nl.flip_flops();
-      util::Rng rng{0xbe7cf10eULL};
-
-      // Warm the incremental state (one unavoidable full pass), matching the
-      // flow, whose first post-route analyze is the timer's full build.
-      (void)inc.analyze(wl, {}, opt);
-
-      using clock = std::chrono::steady_clock;
-      double sweep_inc_ms = 0.0;
-      double sweep_scratch_ms = 0.0;
-      for (int round = 0; round < rounds; ++round) {
-        // Retype a small batch, the opt engines' topology-preserving move.
-        for (int j = 0; j < 16; ++j) {
-          const int cell = rng.uniform_int(0, nl.cell_count() - 1);
-          if (nl.cell_type(cell).kind == netlist::CellKind::kFlipFlop) {
-            continue;
-          }
-          const int type = nl.cell(cell).type;
-          if (const auto up = lib.upsized(type)) {
-            nl.retype_cell(cell, *up);
-          } else if (const auto fv = lib.faster_vt(type)) {
-            nl.retype_cell(cell, *fv);
-          }
-        }
-        // Every few rounds, append hold buffers (topology-appending move).
-        if (round % 5 == 2) {
-          for (int j = 0; j < 4; ++j) {
-            const int ff = ffs[rng.index(ffs.size())];
-            (void)nl.insert_buffer_before(ff, 0, buf_type);
-          }
-          wl.resize(static_cast<std::size_t>(nl.net_count()), 0.004);
-        }
-
-        auto t0 = clock::now();
-        const sta::TimingReport& fast = inc.analyze(wl, {}, opt);
-        sweep_inc_ms +=
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-
-        t0 = clock::now();
-        const sta::TimingAnalyzer analyzer{nl};
-        const sta::TimingReport ref = analyzer.analyze(wl, {}, opt);
-        sweep_scratch_ms +=
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-
-        reports_match = reports_match && fast.wns == ref.wns &&
-                        fast.tns == ref.tns && fast.hold_tns == ref.hold_tns;
-      }
-      if (sweep == 0 || sweep_inc_ms < inc_ms) inc_ms = sweep_inc_ms;
-      if (sweep == 0 || sweep_scratch_ms < scratch_ms) {
-        scratch_ms = sweep_scratch_ms;
-      }
-      final_cells = nl.cell_count();
-      stats = inc.stats();
-    }
-    all_qor_match = all_qor_match && reports_match;
-
-    util::Json sta_json = util::Json::object();
-    sta_json["design"] = design.name();
-    sta_json["cells"] = final_cells;
-    sta_json["rounds"] = rounds;
-    sta_json["sweeps"] = sweeps;
-    sta_json["incremental_ms_per_call"] = inc_ms / rounds;
-    sta_json["scratch_ms_per_call"] = scratch_ms / rounds;
-    sta_json["speedup"] = scratch_ms / inc_ms;
-    sta_json["reports_bitwise_match"] = reports_match;
-    sta_json["analyze_calls"] = stats.analyze_calls;
-    sta_json["full_passes"] = stats.full_passes;
-    sta_json["forward_updates"] = stats.forward_updates;
-    sta_json["required_updates"] = stats.required_updates;
-    root["sta_incremental"] = std::move(sta_json);
-
-    const double speedup = scratch_ms / inc_ms;
-    if (speedup < 5.0) {
-      std::fprintf(stderr,
-                   "WARNING: BENCH_flow: sta_incremental speedup %.2fx is "
-                   "below the 5x acceptance bar\n",
-                   speedup);
-    }
-  }
-
   root["qor_bitwise_match_all"] = all_qor_match;
   if (!all_qor_match) {
     std::fprintf(stderr,
-                 "WARNING: BENCH_flow: incremental results diverged from the "
-                 "reference analyzer\n");
+                 "WARNING: BENCH_flow: fast-path results diverged from the "
+                 "reference flow\n");
   }
 
   std::ofstream os{path};

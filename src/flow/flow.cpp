@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -13,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/engines.h"
-#include "sta/incremental.h"
 #include "util/rng.h"
 
 namespace vpr::flow {
@@ -21,27 +18,6 @@ namespace vpr::flow {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Placer parallelism from INSIGHTALIGN_PLACE_WORKERS, read once per
-/// process. 0 (the default) lets the shared pool pick; the placement is
-/// bit-identical for every value, so this is purely a throughput knob.
-int place_workers() {
-  static const int workers = [] {
-    const char* env = std::getenv("INSIGHTALIGN_PLACE_WORKERS");
-    if (env == nullptr || *env == '\0') return 0;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0 || v > 4096) {
-      std::fprintf(stderr,
-                   "insightalign: ignoring invalid "
-                   "INSIGHTALIGN_PLACE_WORKERS=%s (want 0..4096)\n",
-                   env);
-      return 0;
-    }
-    return static_cast<int>(v);
-  }();
-  return workers;
-}
 
 /// Elapsed milliseconds from `t0`, recorded as a trace span over the same
 /// interval when tracing is enabled: the span boundaries and the StageTimes
@@ -210,27 +186,27 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   t_opt.wire_delay_per_unit = wire.delay_per_unit;
   t_opt.clock_uncertainty = std::max(0.0, knobs.clock_uncertainty);
 
-  // All STA goes through one helper: either a persistent IncrementalTimer
-  // (fast path, one topo build + dirty-cone updates for the whole run) or
-  // a fresh TimingAnalyzer per call (reference oracle). The returned
-  // reference is valid until the next analyze call.
-  std::optional<sta::IncrementalTimer> inc_timer;
+  // All STA goes through one helper. A run times with one TimingAnalyzer
+  // and reuses its topological order until the netlist gains a cell:
+  // connectivity only changes through insert_buffer_before/add_cell, which
+  // always append one, and retype_cell never changes a cell's function, so
+  // the order stays valid across retypes. The reference oracle builds a
+  // fresh analyzer per call. The returned reference is valid until the
+  // next analyze call.
+  std::optional<sta::TimingAnalyzer> analyzer;
+  int analyzer_cells = 0;  // nl.cell_count() when `analyzer` was built
   sta::TimingReport scratch_report;
   const auto analyze = [&](std::span<const double> wl,
                            std::span<const double> clk)
       -> const sta::TimingReport& {
     const auto t0 = Clock::now();
-    const sta::TimingReport* rep;
-    if (incremental) {
-      if (!inc_timer) inc_timer.emplace(nl);
-      rep = &inc_timer->analyze(wl, clk, t_opt);
-    } else {
-      const sta::TimingAnalyzer analyzer{nl};
-      scratch_report = analyzer.analyze(wl, clk, t_opt);
-      rep = &scratch_report;
+    if (!incremental || !analyzer || analyzer_cells != nl.cell_count()) {
+      analyzer.emplace(nl);
+      analyzer_cells = nl.cell_count();
     }
+    scratch_report = analyzer->analyze(wl, clk, t_opt);
     times.sta_ms += stage_ms("flow.sta", t0);
-    return *rep;
+    return scratch_report;
   };
 
   // ----- Placement -----
@@ -245,7 +221,7 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
           place::PlaceTrajectory& traj) -> place::Placement {
     const auto run_placer = [&](place::PlaceTrajectory& out) {
       place::Placer placer{nl, knobs.place, traits.seed ^ salt,
-                           incremental ? place_workers() : 1};
+                           incremental ? 0 : 1};
       return placer.run(weights, &out);
     };
     if (!incremental) return run_placer(traj);

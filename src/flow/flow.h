@@ -101,7 +101,9 @@ class Flow {
 
   /// Runs the full flow with the given recipe set. Deterministic, and
   /// bitwise-identical to run_reference() (docs/flow_perf.md):
-  ///  - STA within the run shares one sta::IncrementalTimer;
+  ///  - STA within the run shares one sta::TimingAnalyzer, rebuilt only
+  ///    after optimization appends a cell (its topological order depends
+  ///    on connectivity alone, which retypes never change);
   ///  - placements are memoized on this Flow per (placer knobs, seed salt,
   ///    net weights), and each memoized placement keeps its routing
   ///    results per router knobs (routing runs before optimization touches
@@ -112,9 +114,11 @@ class Flow {
   /// it.
   [[nodiscard]] FlowResult run(const RecipeSet& recipes) const;
 
-  /// Same flow with a fresh sta::TimingAnalyzer per STA call, a
-  /// from-scratch GlobalRouter, and no placement or route reuse — the
-  /// equivalence oracle for run() and the baseline in BENCH_flow.json.
+  /// Same flow with a fresh sta::TimingAnalyzer per STA call, the placer
+  /// inline on the calling thread (run() lets the shared pool pick its
+  /// workers), a from-scratch GlobalRouter, and no placement or route
+  /// reuse — the equivalence oracle for run() and the baseline in
+  /// BENCH_flow.json.
   [[nodiscard]] FlowResult run_reference(const RecipeSet& recipes) const;
 
   /// Knobs after applying `recipes` to the defaults (exposed for tests).

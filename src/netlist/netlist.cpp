@@ -67,7 +67,6 @@ void Netlist::retype_cell(int cell, int new_type) {
     throw std::logic_error("retype_cell: function change not allowed");
   }
   cells_[static_cast<std::size_t>(cell)].type = new_type;
-  retype_log_.push_back(cell);
 }
 
 int Netlist::insert_buffer_before(int sink_cell, int pin_index,

@@ -4,7 +4,6 @@
 // every net has at most one driver; every cell input references an existing
 // net; flip-flops have exactly one data input.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -86,18 +85,6 @@ class Netlist {
   [[nodiscard]] bool is_flip_flop(int cell_id) const {
     return cell_type(cell_id).kind == CellKind::kFlipFlop;
   }
-  /// Monotonic counter bumped by retype_cell. Incremental consumers (e.g.
-  /// sta::IncrementalTimer) skip their per-cell type diff when it is
-  /// unchanged; appended cells are tracked via cell_count instead.
-  [[nodiscard]] std::uint64_t type_version() const noexcept {
-    return static_cast<std::uint64_t>(retype_log_.size());
-  }
-  /// Every retype_cell target in call order (duplicates possible). A
-  /// consumer holding a previous type_version diffs just the log tail
-  /// instead of scanning every cell.
-  [[nodiscard]] const std::vector<int>& retype_log() const noexcept {
-    return retype_log_;
-  }
   /// Ids of all flip-flop cells (clock sinks for CTS).
   [[nodiscard]] std::vector<int> flip_flops() const;
 
@@ -120,7 +107,6 @@ class Netlist {
   double clock_period_;
   std::vector<Cell> cells_;
   std::vector<Net> nets_;
-  std::vector<int> retype_log_;
   std::vector<int> primary_inputs_;
   std::vector<int> primary_outputs_;
   std::vector<Blockage> blockages_;

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "netlist/generator.h"
+#include "util/rng.h"
 
 namespace vpr::sta {
 namespace {
@@ -212,6 +219,334 @@ TEST(TimingAnalyzer, UpsizingDriverImprovesLoadedStage) {
   const TimingAnalyzer sta2{fx.nl};
   const double after = sta2.analyze(wires, {}, opt).max_arrival;
   EXPECT_LT(after, before);
+}
+
+// ----- Incremental timing within a flow run -----
+// Flow::run times incrementally: it keeps one analyzer for the whole run
+// and rebuilds it only when the netlist gains a cell. RunTimer is that
+// policy. These cases pin that every report it gives is bitwise the one a
+// freshly built analyzer (the oracle) gives, across the mutations the
+// optimization engines make (retypes, hold-buffer appends) and the input
+// changes the flow makes (wirelengths, clock arrivals, options).
+
+TimingOptions flow_options() {
+  TimingOptions o;
+  o.wire_cap_per_unit = 0.15;
+  o.wire_delay_per_unit = 0.08;
+  o.clock_uncertainty = 0.02;
+  return o;
+}
+
+netlist::DesignTraits small_traits(std::uint64_t seed = 0x51a11ULL) {
+  netlist::DesignTraits t;
+  t.name = "inc";
+  t.target_cells = 420;
+  t.clock_period_ns = 0.9;  // tight: nonzero TNS and criticalities
+  t.logic_depth = 10;
+  t.seed = seed;
+  return t;
+}
+
+/// Flow::run's STA reuse: one analyzer, rebuilt only when nl.cell_count()
+/// changed since it was built. Connectivity changes only through
+/// insert_buffer_before/add_cell, which always append a cell, and
+/// retype_cell never changes a cell's function.
+class RunTimer {
+ public:
+  explicit RunTimer(const Netlist& nl) : nl_{nl} { rebuild(); }
+
+  [[nodiscard]] TimingReport analyze(std::span<const double> wl,
+                                     std::span<const double> clk,
+                                     const TimingOptions& opt) {
+    if (cells_ != nl_.cell_count()) rebuild();
+    return analyzer_->analyze(wl, clk, opt);
+  }
+  [[nodiscard]] const TimingAnalyzer& analyzer() const { return *analyzer_; }
+  [[nodiscard]] int builds() const { return builds_; }
+
+ private:
+  void rebuild() {
+    analyzer_.emplace(nl_);
+    cells_ = nl_.cell_count();
+    ++builds_;
+  }
+
+  const Netlist& nl_;
+  std::optional<TimingAnalyzer> analyzer_;
+  int cells_ = 0;
+  int builds_ = 0;
+};
+
+/// Every field of the two reports must be bitwise identical (== on
+/// doubles, no tolerance).
+void expect_reports_equal(const TimingReport& a, const TimingReport& b) {
+  EXPECT_EQ(a.wns, b.wns);
+  EXPECT_EQ(a.tns, b.tns);
+  EXPECT_EQ(a.hold_wns, b.hold_wns);
+  EXPECT_EQ(a.hold_tns, b.hold_tns);
+  EXPECT_EQ(a.setup_violations, b.setup_violations);
+  EXPECT_EQ(a.hold_violations, b.hold_violations);
+  EXPECT_EQ(a.max_arrival, b.max_arrival);
+  EXPECT_EQ(a.critical_weak_fraction, b.critical_weak_fraction);
+  EXPECT_EQ(a.harmful_skew_endpoints, b.harmful_skew_endpoints);
+  ASSERT_EQ(a.endpoints.size(), b.endpoints.size());
+  for (std::size_t i = 0; i < a.endpoints.size(); ++i) {
+    EXPECT_EQ(a.endpoints[i].cell, b.endpoints[i].cell);
+    EXPECT_EQ(a.endpoints[i].net, b.endpoints[i].net);
+    EXPECT_EQ(a.endpoints[i].setup_slack, b.endpoints[i].setup_slack);
+    EXPECT_EQ(a.endpoints[i].hold_slack, b.endpoints[i].hold_slack);
+  }
+  ASSERT_EQ(a.cell_slack.size(), b.cell_slack.size());
+  for (std::size_t i = 0; i < a.cell_slack.size(); ++i) {
+    EXPECT_EQ(a.cell_slack[i], b.cell_slack[i]) << "cell " << i;
+  }
+  ASSERT_EQ(a.net_criticality.size(), b.net_criticality.size());
+  for (std::size_t i = 0; i < a.net_criticality.size(); ++i) {
+    EXPECT_EQ(a.net_criticality[i], b.net_criticality[i]) << "net " << i;
+  }
+}
+
+/// One oracle-vs-reused comparison on the current netlist state.
+void check_against_oracle(RunTimer& timer, const Netlist& nl,
+                          std::span<const double> wl,
+                          std::span<const double> clk,
+                          const TimingOptions& opt) {
+  const TimingAnalyzer oracle{nl};
+  expect_reports_equal(timer.analyze(wl, clk, opt),
+                       oracle.analyze(wl, clk, opt));
+}
+
+/// The analyzer's order holds every combinational cell once, each after
+/// its combinational drivers.
+void expect_topo_order_valid(const TimingAnalyzer& analyzer,
+                             const Netlist& nl) {
+  const std::vector<int>& topo = analyzer.topological_order();
+  int comb = 0;
+  for (int c = 0; c < nl.cell_count(); ++c) {
+    if (!nl.is_flip_flop(c)) ++comb;
+  }
+  ASSERT_EQ(static_cast<int>(topo.size()), comb);
+  std::vector<int> pos(static_cast<std::size_t>(nl.cell_count()), -1);
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    pos[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
+  }
+  for (const int c : topo) {
+    for (const int net : nl.cell(c).fanin_nets) {
+      const int driver = nl.net(net).driver_cell;
+      if (driver == netlist::kNoDriver || nl.is_flip_flop(driver)) continue;
+      EXPECT_LT(pos[static_cast<std::size_t>(driver)],
+                pos[static_cast<std::size_t>(c)])
+          << "cell " << c;
+    }
+  }
+}
+
+/// Retypes `count` random cells to a neighbouring size or a faster Vt.
+void retype_random_cells(Netlist& nl, util::Rng& rng, int count) {
+  const auto& lib = nl.library();
+  for (int j = 0; j < count; ++j) {
+    const int cell = rng.uniform_int(0, nl.cell_count() - 1);
+    const int type = nl.cell(cell).type;
+    if (const auto up = lib.upsized(type)) {
+      nl.retype_cell(cell, *up);
+    } else if (const auto down = lib.downsized(type)) {
+      nl.retype_cell(cell, *down);
+    } else if (const auto fv = lib.faster_vt(type)) {
+      nl.retype_cell(cell, *fv);
+    }
+  }
+}
+
+TEST(IncrementalTimer, FirstCallMatchesOracle) {
+  const Netlist nl = netlist::generate(small_traits());
+  RunTimer timer{nl};
+  check_against_oracle(timer, nl, {}, {}, flow_options());
+  EXPECT_EQ(timer.builds(), 1);
+}
+
+TEST(IncrementalTimer, RetypeRoundsMatchOracle) {
+  Netlist nl = netlist::generate(small_traits(0x52a22ULL));
+  RunTimer timer{nl};
+  const TimingOptions opt = flow_options();
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.02);
+  check_against_oracle(timer, nl, wl, {}, opt);
+  util::Rng rng{11};
+  for (int round = 0; round < 6; ++round) {
+    retype_random_cells(nl, rng, 10);
+    check_against_oracle(timer, nl, wl, {}, opt);
+  }
+  // Retypes keep the built order valid: no rebuild.
+  EXPECT_EQ(timer.builds(), 1);
+}
+
+TEST(IncrementalTimer, BufferAppendsMatchOracle) {
+  Netlist nl = netlist::generate(small_traits(0x53a33ULL));
+  const int buf = nl.library().find(Func::kBuf, 1, Vt::kStandard);
+  RunTimer timer{nl};
+  const TimingOptions opt = flow_options();
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.02);
+  check_against_oracle(timer, nl, wl, {}, opt);
+  const std::vector<int> ffs = nl.flip_flops();
+  ASSERT_FALSE(ffs.empty());
+  util::Rng rng{22};
+  for (int round = 0; round < 4; ++round) {
+    for (int j = 0; j < 3; ++j) {
+      const int ff = ffs[rng.index(ffs.size())];
+      (void)nl.insert_buffer_before(ff, 0, buf);
+    }
+    wl.resize(static_cast<std::size_t>(nl.net_count()), 0.004);
+    check_against_oracle(timer, nl, wl, {}, opt);
+  }
+  // One rebuild per round that appended cells.
+  EXPECT_EQ(timer.builds(), 5);
+}
+
+TEST(IncrementalTimer, BufferChainBeforeSameFlopMatchesOracle) {
+  // Repeated insertion before the same D pin builds a buffer chain whose
+  // fanin driver is a cell appended one call earlier.
+  Netlist nl = netlist::generate(small_traits(0x54a44ULL));
+  const int buf = nl.library().find(Func::kBuf, 1, Vt::kStandard);
+  RunTimer timer{nl};
+  const TimingOptions opt = flow_options();
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.02);
+  check_against_oracle(timer, nl, wl, {}, opt);
+  const int ff = nl.flip_flops().front();
+  for (int i = 0; i < 4; ++i) {
+    (void)nl.insert_buffer_before(ff, 0, buf);
+    (void)nl.insert_buffer_before(ff, 0, buf);
+    wl.resize(static_cast<std::size_t>(nl.net_count()), 0.004);
+    check_against_oracle(timer, nl, wl, {}, opt);
+    expect_topo_order_valid(timer.analyzer(), nl);
+  }
+}
+
+TEST(IncrementalTimer, WirelengthChangesMatchOracle) {
+  const Netlist nl = netlist::generate(small_traits(0x55a55ULL));
+  RunTimer timer{nl};
+  const TimingOptions opt = flow_options();
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.02);
+  check_against_oracle(timer, nl, wl, {}, opt);
+  // Perturb a few nets.
+  util::Rng rng{33};
+  for (int j = 0; j < 8; ++j) {
+    wl[rng.index(wl.size())] *= 1.7;
+  }
+  check_against_oracle(timer, nl, wl, {}, opt);
+  // Global stretch (the legalization-feedback pattern in Flow::run).
+  for (auto& w : wl) w *= 1.23;
+  check_against_oracle(timer, nl, wl, {}, opt);
+  // Default-estimate mode (empty span) after explicit wirelengths.
+  check_against_oracle(timer, nl, {}, {}, opt);
+}
+
+TEST(IncrementalTimer, ClockArrivalChangesMatchOracle) {
+  const Netlist nl = netlist::generate(small_traits(0x56a66ULL));
+  RunTimer timer{nl};
+  const TimingOptions opt = flow_options();
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.02);
+  check_against_oracle(timer, nl, wl, {}, opt);
+  // Ideal clock -> skewed clock flips the harmful-skew gating too.
+  std::vector<double> clk(static_cast<std::size_t>(nl.cell_count()), 0.0);
+  util::Rng rng{44};
+  for (const int ff : nl.flip_flops()) {
+    clk[static_cast<std::size_t>(ff)] = rng.uniform(0.0, 0.08);
+  }
+  check_against_oracle(timer, nl, wl, clk, opt);
+  // Back to an all-zero vector: values match the ideal clock but the
+  // harmful-skew section is computed, unlike with an empty span.
+  std::fill(clk.begin(), clk.end(), 0.0);
+  check_against_oracle(timer, nl, wl, clk, opt);
+  check_against_oracle(timer, nl, wl, {}, opt);
+}
+
+TEST(IncrementalTimer, OptionChangeForcesFullPass) {
+  // Options are per call and every analyze call is a full pass, so new
+  // options need no rebuild.
+  const Netlist nl = netlist::generate(small_traits(0x57a77ULL));
+  RunTimer timer{nl};
+  TimingOptions opt = flow_options();
+  check_against_oracle(timer, nl, {}, {}, opt);
+  opt.clock_uncertainty = 0.05;
+  check_against_oracle(timer, nl, {}, {}, opt);
+  EXPECT_EQ(timer.builds(), 1);
+}
+
+TEST(IncrementalTimer, MixedFlowLikeSequenceMatchesOracle) {
+  // The shape of Flow::run's STA usage: pre-place estimate, routed
+  // wirelengths + CTS arrivals, opt-loop mutations, global stretch.
+  Netlist nl = netlist::generate(small_traits(0x58a88ULL));
+  const int buf = nl.library().find(Func::kBuf, 1, Vt::kStandard);
+  RunTimer timer{nl};
+  const TimingOptions opt = flow_options();
+  check_against_oracle(timer, nl, {}, {}, opt);
+
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.0);
+  util::Rng rng{55};
+  for (auto& w : wl) w = rng.uniform(0.005, 0.06);
+  std::vector<double> clk(static_cast<std::size_t>(nl.cell_count()), 0.0);
+  for (const int ff : nl.flip_flops()) {
+    clk[static_cast<std::size_t>(ff)] = rng.uniform(0.0, 0.05);
+  }
+  check_against_oracle(timer, nl, wl, clk, opt);
+
+  const std::vector<int> ffs = nl.flip_flops();
+  for (int round = 0; round < 5; ++round) {
+    retype_random_cells(nl, rng, 6);
+    if (round % 2 == 1) {
+      (void)nl.insert_buffer_before(ffs[rng.index(ffs.size())], 0, buf);
+      wl.resize(static_cast<std::size_t>(nl.net_count()), 0.004);
+      clk.resize(static_cast<std::size_t>(nl.cell_count()), 0.0);
+    }
+    check_against_oracle(timer, nl, wl, clk, opt);
+  }
+  for (auto& w : wl) w *= 1.1;
+  check_against_oracle(timer, nl, wl, clk, opt);
+  EXPECT_EQ(timer.builds(), 3);
+}
+
+TEST(IncrementalTimer, SizeMismatchThrows) {
+  const Netlist nl = netlist::generate(small_traits());
+  RunTimer timer{nl};
+  std::vector<double> bad_wl(3, 0.01);
+  EXPECT_THROW((void)timer.analyze(bad_wl, {}, flow_options()),
+               std::invalid_argument);
+  std::vector<double> bad_clk(2, 0.0);
+  EXPECT_THROW((void)timer.analyze({}, bad_clk, flow_options()),
+               std::invalid_argument);
+}
+
+TEST(IncrementalTimer, DetectsCombinationalLoop) {
+  Netlist nl = make_empty();
+  const int inv = nl.library().find(Func::kInv, 2, Vt::kStandard);
+  const int a = nl.add_net();
+  const int b = nl.add_net();
+  nl.add_cell(inv, {a}, b);
+  nl.add_cell(inv, {b}, a);
+  EXPECT_THROW(RunTimer{nl}, std::logic_error);
+}
+
+TEST(IncrementalTimer, TopoOrderCoversAllCombCells) {
+  Netlist nl = netlist::generate(small_traits());
+  RunTimer timer{nl};
+  expect_topo_order_valid(timer.analyzer(), nl);
+  // After appends, the rebuilt order covers each new buffer.
+  const int buf = nl.library().find(Func::kBuf, 1, Vt::kStandard);
+  const std::vector<int> ffs = nl.flip_flops();
+  ASSERT_FALSE(ffs.empty());
+  util::Rng rng{66};
+  std::vector<int> added;
+  for (int j = 0; j < 4; ++j) {
+    added.push_back(
+        nl.insert_buffer_before(ffs[rng.index(ffs.size())], 0, buf));
+  }
+  std::vector<double> wl(static_cast<std::size_t>(nl.net_count()), 0.02);
+  (void)timer.analyze(wl, {}, flow_options());
+  expect_topo_order_valid(timer.analyzer(), nl);
+  const std::vector<int>& topo = timer.analyzer().topological_order();
+  for (const int b : added) {
+    EXPECT_NE(std::find(topo.begin(), topo.end(), b), topo.end())
+        << "buffer " << b;
+  }
 }
 
 }  // namespace
