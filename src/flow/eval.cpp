@@ -30,8 +30,8 @@ constexpr std::uint32_t kEvalMagic = 0x1a5e7e0aU;
 constexpr std::uint32_t kEvalVersion = 1;
 
 /// The process-wide flow.eval.* series every FlowEval instance feeds.
-/// Registered once; updates are relaxed atomic RMWs (no lock beside the
-/// entry/shard locks the cache itself takes).
+/// Registered once; counter updates are relaxed atomic RMWs, and the
+/// eval_ms summary takes its own short lock once per flow run.
 struct EvalMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
@@ -46,7 +46,7 @@ struct EvalMetrics {
   obs::CounterD& sta_seconds;
   obs::CounterD& opt_seconds;
   obs::CounterD& power_seconds;
-  obs::HistogramMetric& eval_ms;
+  obs::Summary& eval_ms;
 
   static EvalMetrics& get() {
     static auto& r = obs::MetricsRegistry::instance();
@@ -64,8 +64,8 @@ struct EvalMetrics {
         r.counter_d("flow.eval.stage.sta_seconds", ""),
         r.counter_d("flow.eval.stage.opt_seconds", ""),
         r.counter_d("flow.eval.stage.power_seconds", ""),
-        r.histogram("flow.eval.eval_ms", 0.0, 2000.0, 40,
-                    "per-evaluation Flow::run wall milliseconds"),
+        r.summary("flow.eval.eval_ms",
+                  "per-evaluation Flow::run wall milliseconds"),
     };
     return m;
   }

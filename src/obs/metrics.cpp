@@ -2,27 +2,10 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace vpr::obs {
-
-long HistogramMetric::total() const noexcept {
-  long n = 0;
-  for (const auto& c : counts_) n += c.load(std::memory_order_relaxed);
-  return n;
-}
-
-util::Histogram HistogramMetric::snapshot() const {
-  util::Histogram h{geometry_.lo(), geometry_.hi(), geometry_.bins()};
-  for (int b = 0; b < bins(); ++b) {
-    const long c = bucket_count(b);
-    // Representative sample at the bin's lower edge lands back in bin b.
-    const double x = geometry_.bin_lo(b);
-    for (long i = 0; i < c; ++i) h.add(x);
-  }
-  return h;
-}
 
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry* registry = new MetricsRegistry();
@@ -68,20 +51,12 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
   return *metric.gauge;
 }
 
-HistogramMetric& MetricsRegistry::histogram(const std::string& name,
-                                            double lo, double hi, int bins,
-                                            const std::string& help) {
+Summary& MetricsRegistry::summary(const std::string& name,
+                                  const std::string& help) {
   std::lock_guard lock(mutex_);
-  Metric& metric = fetch(name, Metric::Kind::kHistogram, help);
-  if (!metric.histogram) {
-    metric.histogram.reset(new HistogramMetric(lo, hi, bins));
-  } else if (metric.histogram->bins() != bins ||
-             metric.histogram->bin_lo(0) != lo ||
-             metric.histogram->bin_hi(bins - 1) != hi) {
-    throw std::invalid_argument("MetricsRegistry: histogram '" + name +
-                                "' re-registered with different geometry");
-  }
-  return *metric.histogram;
+  Metric& metric = fetch(name, Metric::Kind::kSummary, help);
+  if (!metric.summary) metric.summary.reset(new Summary());
+  return *metric.summary;
 }
 
 util::Json MetricsRegistry::to_json() const {
@@ -98,23 +73,9 @@ util::Json MetricsRegistry::to_json() const {
       case Metric::Kind::kGauge:
         root[name] = metric.gauge->value();
         break;
-      case Metric::Kind::kHistogram: {
-        const HistogramMetric& h = *metric.histogram;
-        util::Json buckets = util::Json::array();
-        for (int b = 0; b < h.bins(); ++b) {
-          util::Json bucket = util::Json::object();
-          bucket["lo"] = h.bin_lo(b);
-          bucket["hi"] = h.bin_hi(b);
-          bucket["count"] = static_cast<double>(h.bucket_count(b));
-          buckets.push_back(std::move(bucket));
-        }
-        util::Json obj = util::Json::object();
-        obj["buckets"] = std::move(buckets);
-        obj["count"] = static_cast<double>(h.total());
-        obj["sum"] = h.sum();
-        root[name] = std::move(obj);
+      case Metric::Kind::kSummary:
+        root[name] = metric.summary->snapshot().to_json();
         break;
-      }
     }
   }
   return root;
@@ -148,20 +109,15 @@ std::string MetricsRegistry::escape_label_value(const std::string& v) {
 void MetricsRegistry::write_prometheus(std::ostream& os) const {
   // Snapshot under the lock, format outside it: a scrape stalled on a slow
   // socket must never block counter()/gauge() registration on the serving
-  // path. The atomics themselves are relaxed reads either way.
-  struct HistBucket {
-    double le;
-    long cumulative;
-  };
+  // path. Counters and gauges are relaxed atomic reads; a summary is
+  // copied under its own mutex.
   struct Sample {
     std::string prom;
     std::string help;
     Metric::Kind kind;
     double value = 0.0;           // counter / gauge
     std::uint64_t count_i = 0;    // integer counter
-    std::vector<HistBucket> buckets;
-    double sum = 0.0;             // histogram
-    long total = 0;               // histogram
+    QuantileSketch sketch;        // summary
   };
 
   std::vector<Sample> samples;
@@ -185,17 +141,9 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
         case Metric::Kind::kGauge:
           s.value = metric.gauge->value();
           break;
-        case Metric::Kind::kHistogram: {
-          const HistogramMetric& h = *metric.histogram;
-          long cumulative = 0;
-          for (int b = 0; b < h.bins(); ++b) {
-            cumulative += h.bucket_count(b);
-            s.buckets.push_back(HistBucket{h.bin_hi(b), cumulative});
-          }
-          s.sum = h.sum();
-          s.total = cumulative;
+        case Metric::Kind::kSummary:
+          s.sketch = metric.summary->snapshot();
           break;
-        }
       }
       samples.push_back(std::move(s));
     }
@@ -223,19 +171,15 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
         os << "# TYPE " << s.prom << " gauge\n"
            << s.prom << ' ' << s.value << '\n';
         break;
-      case Metric::Kind::kHistogram: {
-        os << "# TYPE " << s.prom << " histogram\n";
-        for (const HistBucket& bucket : s.buckets) {
-          std::ostringstream le;
-          le << bucket.le;
-          os << s.prom << "_bucket{le=\"" << escape_label_value(le.str())
-             << "\"} " << bucket.cumulative << '\n';
+      case Metric::Kind::kSummary:
+        os << "# TYPE " << s.prom << " summary\n";
+        for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+          os << s.prom << "{quantile=\"" << q << "\"} "
+             << s.sketch.quantile(q) << '\n';
         }
-        os << s.prom << "_bucket{le=\"+Inf\"} " << s.total << '\n'
-           << s.prom << "_sum " << s.sum << '\n'
-           << s.prom << "_count " << s.total << '\n';
+        os << s.prom << "_sum " << s.sketch.sum() << '\n'
+           << s.prom << "_count " << s.sketch.count() << '\n';
         break;
-      }
     }
   }
 }
@@ -268,12 +212,11 @@ void MetricsRegistry::reset() {
       case Metric::Kind::kGauge:
         metric.gauge->value_.store(0.0, std::memory_order_relaxed);
         break;
-      case Metric::Kind::kHistogram:
-        for (auto& c : metric.histogram->counts_) {
-          c.store(0, std::memory_order_relaxed);
-        }
-        metric.histogram->sum_.store(0.0, std::memory_order_relaxed);
+      case Metric::Kind::kSummary: {
+        std::lock_guard summary_lock(metric.summary->mutex_);
+        metric.summary->sketch_.reset();
         break;
+      }
     }
   }
 }

@@ -1,11 +1,12 @@
 #pragma once
-// Process-wide metrics registry: named counters, gauges and fixed-bucket
-// histograms, registered once and updated through cheap atomic handles.
+// Process-wide metrics registry: named counters, gauges and latency
+// summaries, registered once and updated through cheap handles.
 //
-// Registration (counter()/gauge()/histogram()) takes a mutex and is meant
+// Registration (counter()/gauge()/summary()) takes a mutex and is meant
 // to happen once per call site — constructors, static init — returning a
-// stable reference whose updates are single relaxed atomic RMWs with no
-// lock. The registry dumps as JSON (`--metrics-out=FILE`, `insightalign
+// stable reference. Counter and gauge updates are single relaxed atomic
+// RMWs with no lock; a summary observe takes only its own series' mutex.
+// The registry dumps as JSON (`--metrics-out=FILE`, `insightalign
 // metrics`) and as Prometheus text exposition for scraping.
 //
 // Series are process-wide and monotone, Prometheus-style: two FlowEval or
@@ -21,9 +22,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "util/histogram.h"
+#include "obs/quantile.h"
 #include "util/json.h"
 
 namespace vpr::obs {
@@ -84,44 +84,28 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: the bucket geometry of util::Histogram
-/// (equal-width [lo, hi) bins, out-of-range samples clamped into the
-/// first/last bin) with per-bucket atomic counts so observe() is lock-free.
-class HistogramMetric {
+/// Latency distribution: an obs::QuantileSketch (1% relative error) behind
+/// a mutex. Its log buckets follow the values it records, so 0.1 ms swaps
+/// and multi-second flow runs resolve alike with no geometry chosen up
+/// front. observe() is a short critical section, not a lone atomic RMW.
+class Summary {
  public:
-  void observe(double x) noexcept {
-    counts_[static_cast<std::size_t>(geometry_.bucket_for(x))].fetch_add(
-        1, std::memory_order_relaxed);
-    double cur = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(cur, cur + x,
-                                       std::memory_order_relaxed)) {
-    }
+  void observe(double x) {
+    std::lock_guard lock(mutex_);
+    sketch_.observe(x);
   }
-
-  [[nodiscard]] int bins() const noexcept { return geometry_.bins(); }
-  [[nodiscard]] double bin_lo(int b) const { return geometry_.bin_lo(b); }
-  [[nodiscard]] double bin_hi(int b) const { return geometry_.bin_hi(b); }
-  [[nodiscard]] long bucket_count(int b) const {
-    return counts_[static_cast<std::size_t>(b)].load(
-        std::memory_order_relaxed);
+  /// Copy of the sketch: quantiles, count, sum and the JSON dump shape.
+  [[nodiscard]] QuantileSketch snapshot() const {
+    std::lock_guard lock(mutex_);
+    return sketch_;
   }
-  [[nodiscard]] long total() const noexcept;
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// Materialize the atomic counts into a plain util::Histogram (for the
-  /// ASCII renderer and tests).
-  [[nodiscard]] util::Histogram snapshot() const;
 
  private:
   friend class MetricsRegistry;
-  HistogramMetric(double lo, double hi, int bins)
-      : geometry_(lo, hi, bins),
-        counts_(static_cast<std::size_t>(bins)) {}
+  Summary() = default;
 
-  util::Histogram geometry_;  // counts unused; geometry only
-  std::vector<std::atomic<long>> counts_;
-  std::atomic<double> sum_{0.0};
+  mutable std::mutex mutex_;
+  QuantileSketch sketch_;
 };
 
 class MetricsRegistry {
@@ -135,16 +119,14 @@ class MetricsRegistry {
 
   /// Register-or-fetch by name. Repeated calls return the same handle;
   /// `help` is kept from the first registration. Registering an existing
-  /// name as a different kind (or a histogram with different geometry)
-  /// throws std::invalid_argument.
+  /// name as a different kind throws std::invalid_argument.
   Counter& counter(const std::string& name, const std::string& help = "");
   CounterD& counter_d(const std::string& name, const std::string& help = "");
   Gauge& gauge(const std::string& name, const std::string& help = "");
-  HistogramMetric& histogram(const std::string& name, double lo, double hi,
-                             int bins, const std::string& help = "");
+  Summary& summary(const std::string& name, const std::string& help = "");
 
-  /// Flat {"name": value, ...} object; histograms expand to an object with
-  /// buckets/sum/count.
+  /// Flat {"name": value, ...} object; a summary expands to its sketch's
+  /// QuantileSketch::to_json() (count, sum, min, max, p50 .. p999).
   [[nodiscard]] util::Json to_json() const;
   /// Prometheus text exposition. Metric names are sanitized ('.' and
   /// other invalid characters become '_'); every series gets a # TYPE and
@@ -167,12 +149,12 @@ class MetricsRegistry {
 
  private:
   struct Metric {
-    enum class Kind { kCounter, kCounterD, kGauge, kHistogram } kind;
+    enum class Kind { kCounter, kCounterD, kGauge, kSummary } kind;
     std::string help;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<CounterD> counter_d;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistogramMetric> histogram;
+    std::unique_ptr<Summary> summary;
   };
 
   Metric& fetch(const std::string& name, Metric::Kind kind,

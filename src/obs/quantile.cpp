@@ -34,7 +34,8 @@ double QuantileSketch::bucket_value(int index) const {
 }
 
 void QuantileSketch::observe(double value) {
-  if (std::isnan(value)) return;
+  // NaN and ±inf carry no rank; +inf would also overflow bucket_index.
+  if (!std::isfinite(value)) return;
   if (count_ == 0) {
     min_ = max_ = value;
   } else {

@@ -2,20 +2,20 @@
 // Mergeable streaming quantile sketch with relative-error guarantees
 // (DDSketch-style logarithmic buckets).
 //
-// util::Histogram answers "how many requests were under 5 ms" with fixed
-// bucket edges chosen up front; it cannot answer "what is p99.9" honestly
-// once latencies drift outside the preconfigured edges, and two replicas'
-// ring-buffer percentiles cannot be combined at all. QuantileSketch fixes
-// both: values land in geometric buckets sized so every reported quantile
-// is within a configurable *relative* error alpha of a true sample
-// (p99 = 12.0 ms with alpha = 0.01 means some real observation in
-// [11.88, 12.12] ms sits at that rank), and two sketches with the same
-// alpha merge by adding bucket counts — which is exactly what the router
-// does across replicas and what obs::trace_merge-era fleet reporting does
-// across processes to get one honest p99.9 in BENCH_serve.json.
+// Fixed-edge histograms cannot answer "what is p99.9" once latencies
+// drift outside the edges chosen up front, and per-replica sample
+// percentiles cannot be combined at all. QuantileSketch fixes both: values
+// land in geometric buckets sized so every reported quantile is within a
+// configurable *relative* error alpha of a true sample (p99 = 12.0 ms with
+// alpha = 0.01 means some real observation in [11.88, 12.12] ms sits at
+// that rank), and two sketches with the same alpha merge by adding bucket
+// counts — which is exactly what the router does across replicas and the
+// network client across connections. It is the one latency distribution
+// type: registry summaries (obs::Summary), ServiceCounters percentiles and
+// the bench reports all read it.
 //
 // Not thread-safe; callers wrap it in whatever lock already guards their
-// counters (ServiceCounters does).
+// counters (RecommendService's counters mutex, obs::Summary's own).
 
 #include <cstdint>
 #include <map>
@@ -30,6 +30,7 @@ class QuantileSketch {
   /// (1 ± alpha) of a true observation at that rank. Must be in (0, 1).
   explicit QuantileSketch(double relative_accuracy = 0.01);
 
+  /// Non-finite values (NaN, ±inf) are ignored.
   void observe(double value);
   /// Add every observation of `other` into this sketch. Both sketches
   /// must have been built with the same relative accuracy (asserted).

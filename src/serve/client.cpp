@@ -25,7 +25,6 @@
 #include "serve/wire.h"
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace vpr::serve {
 
@@ -71,9 +70,7 @@ struct ConnStats {
   std::uint64_t bad_request = 0;
   bool transport_error = false;
   bool bitwise_match = true;
-  std::vector<double> ok_latency_ms;
-  /// Same observations as ok_latency_ms, sketched: merged across
-  /// connections at the end for the mergeable-tail report.
+  /// kOk round trips, merged across connections at the end.
   obs::QuantileSketch sketch;
   double rejected_ms_sum = 0.0;
   double retry_after_sum = 0.0;
@@ -98,8 +95,7 @@ util::Json ClientBenchResult::to_json() const {
   j["p50_ms"] = p50_ms;
   j["p95_ms"] = p95_ms;
   j["p99_ms"] = p99_ms;
-  j["sketch_p99_ms"] = sketch_p99_ms;
-  j["sketch_p999_ms"] = sketch_p999_ms;
+  j["p999_ms"] = p999_ms;
   j["mean_rejected_ms"] = mean_rejected_ms;
   j["mean_retry_after_ms"] = mean_retry_after_ms;
   j["bitwise_match"] = bitwise_match;
@@ -246,7 +242,6 @@ int run_client_bench(const ClientBenchOptions& opts,
         switch (response->status) {
           case Status::kOk:
             ++s.ok;
-            s.ok_latency_ms.push_back(rtt_ms);
             s.sketch.observe(rtt_ms);
             if (response->model_version != 0) {
               s.versions_seen.insert(response->model_version);
@@ -296,7 +291,6 @@ int run_client_bench(const ClientBenchOptions& opts,
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 
   ClientBenchResult result;
-  std::vector<double> latencies;
   obs::QuantileSketch merged_sketch;
   std::set<std::uint64_t> versions_seen;
   for (const ConnStats& s : stats) {
@@ -309,8 +303,6 @@ int run_client_bench(const ClientBenchOptions& opts,
     result.bad_request += s.bad_request;
     if (s.transport_error) ++result.transport_errors;
     result.bitwise_match = result.bitwise_match && s.bitwise_match;
-    latencies.insert(latencies.end(), s.ok_latency_ms.begin(),
-                     s.ok_latency_ms.end());
     result.mean_rejected_ms += s.rejected_ms_sum;
     result.mean_retry_after_ms += s.retry_after_sum;
     result.server_version = std::max(result.server_version, s.server_version);
@@ -322,15 +314,10 @@ int run_client_bench(const ClientBenchOptions& opts,
   if (result.ok > 0 && wall_ms > 0.0) {
     result.qps = 1000.0 * static_cast<double>(result.ok) / wall_ms;
   }
-  if (!latencies.empty()) {
-    result.p50_ms = util::percentile(latencies, 50.0);
-    result.p95_ms = util::percentile(latencies, 95.0);
-    result.p99_ms = util::percentile(latencies, 99.0);
-  }
-  if (merged_sketch.count() > 0) {
-    result.sketch_p99_ms = merged_sketch.quantile(0.99);
-    result.sketch_p999_ms = merged_sketch.quantile(0.999);
-  }
+  result.p50_ms = merged_sketch.quantile(0.50);
+  result.p95_ms = merged_sketch.quantile(0.95);
+  result.p99_ms = merged_sketch.quantile(0.99);
+  result.p999_ms = merged_sketch.quantile(0.999);
   if (result.rejected > 0) {
     result.mean_rejected_ms /= static_cast<double>(result.rejected);
     result.mean_retry_after_ms /= static_cast<double>(result.rejected);

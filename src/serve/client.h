@@ -56,15 +56,13 @@ struct ClientBenchResult {
   double wall_ms = 0.0;
   /// kOk responses per second over the whole run.
   double qps = 0.0;
+  /// kOk round-trip percentiles from the merged per-connection
+  /// obs::QuantileSketch — the same mergeable estimate the server reports,
+  /// so client-side and fleet-side tails are comparable.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  /// Tail percentiles from the merged per-connection obs::QuantileSketch —
-  /// the same mergeable-sketch estimate the server reports, so client-side
-  /// and fleet-side tails are comparable (and p99.9 stays honest at counts
-  /// where an exact sample percentile would just be the max).
-  double sketch_p99_ms = 0.0;
-  double sketch_p999_ms = 0.0;
+  double p999_ms = 0.0;
   /// Mean round-trip of rejected (shed) responses — the "rejected fast"
   /// acceptance bar: shedding must cost far less than decoding.
   double mean_rejected_ms = 0.0;

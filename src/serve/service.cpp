@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/registry.h"
-#include "util/stats.h"
 
 namespace vpr::serve {
 
@@ -18,11 +17,11 @@ double ms_between(RecommendService::Clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// The process-wide serve.* series every RecommendService feeds. Updates
-/// are relaxed atomic RMWs; each "count then fulfil the promise" pair
-/// still guarantees the caller sees its own outcome, because the fetch_add
-/// is sequenced before promise::set_value and future::get synchronizes
-/// with it.
+/// The process-wide serve.* series every RecommendService feeds. Counter
+/// updates are relaxed atomic RMWs; each "count then fulfil the promise"
+/// pair still guarantees the caller sees its own outcome, because the
+/// fetch_add is sequenced before promise::set_value and future::get
+/// synchronizes with it.
 struct ServeMetrics {
   obs::Counter& submitted;
   obs::Counter& completed;
@@ -31,9 +30,9 @@ struct ServeMetrics {
   obs::Counter& timed_out;
   obs::Counter& ticks;
   obs::Counter& batched_lanes;
-  obs::HistogramMetric& latency_ms;
+  obs::Summary& latency_ms;
   obs::Counter& swaps;
-  obs::HistogramMetric& swap_ms;
+  obs::Summary& swap_ms;
 
   static ServeMetrics& get() {
     static auto& r = obs::MetricsRegistry::instance();
@@ -47,11 +46,11 @@ struct ServeMetrics {
         r.counter("serve.timed_out", "requests expired before completion"),
         r.counter("serve.ticks", "batched forward passes"),
         r.counter("serve.batched_lanes", "sum of batch sizes over ticks"),
-        r.histogram("serve.latency_ms", 0.0, 500.0, 50,
-                    "submit -> completion wall milliseconds (kOk only)"),
+        r.summary("serve.latency_ms",
+                  "submit -> completion wall milliseconds (kOk only)"),
         r.counter("serve.swaps", "model-version hot swaps adopted"),
-        r.histogram("serve.swap_ms", 0.0, 250.0, 50,
-                    "publish -> batcher adoption wall milliseconds"),
+        r.summary("serve.swap_ms",
+                  "publish -> batcher adoption wall milliseconds"),
     };
     return m;
   }
@@ -101,8 +100,7 @@ util::Json ServiceCounters::to_json() const {
   j["p50_latency_ms"] = p50_latency_ms;
   j["p95_latency_ms"] = p95_latency_ms;
   j["p99_latency_ms"] = p99_latency_ms;
-  j["sketch_p99_ms"] = sketch_p99_ms;
-  j["sketch_p999_ms"] = sketch_p999_ms;
+  j["p999_latency_ms"] = p999_latency_ms;
   j["qps"] = qps;
   j["sessions_created"] = static_cast<double>(sessions_created);
   j["session_reuses"] = static_cast<double>(session_reuses);
@@ -149,7 +147,6 @@ RecommendService::RecommendService(ServiceConfig config,
   if (active_ != nullptr) {
     active_version_.store(active_->version(), std::memory_order_relaxed);
   }
-  latencies_ms_.reserve(kLatencyWindow);
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 
@@ -284,15 +281,10 @@ ServiceCounters RecommendService::counters() const {
       snapshot.ticks > 0 ? static_cast<double>(snapshot.batched_lanes) /
                                static_cast<double>(snapshot.ticks)
                          : 0.0;
-  if (!latencies_ms_.empty()) {
-    snapshot.p50_latency_ms = util::percentile(latencies_ms_, 50.0);
-    snapshot.p95_latency_ms = util::percentile(latencies_ms_, 95.0);
-    snapshot.p99_latency_ms = util::percentile(latencies_ms_, 99.0);
-  }
-  if (latency_sketch_.count() > 0) {
-    snapshot.sketch_p99_ms = latency_sketch_.quantile(0.99);
-    snapshot.sketch_p999_ms = latency_sketch_.quantile(0.999);
-  }
+  snapshot.p50_latency_ms = latency_sketch_.quantile(0.50);
+  snapshot.p95_latency_ms = latency_sketch_.quantile(0.95);
+  snapshot.p99_latency_ms = latency_sketch_.quantile(0.99);
+  snapshot.p999_latency_ms = latency_sketch_.quantile(0.999);
   if (snapshot.completed > 0 && last_complete_ > first_submit_) {
     snapshot.qps = static_cast<double>(snapshot.completed) /
                    std::chrono::duration<double>(last_complete_ - first_submit_)
@@ -401,14 +393,6 @@ void RecommendService::finish(Inflight& flight, Status status) {
     std::lock_guard lock(counters_mutex_);
     last_complete_ = done;
     latency_sketch_.observe(latency);
-    // Bounded ring: overwrite the oldest sample once the window is full.
-    // Percentiles don't care about order, so no rotation is needed.
-    if (latencies_ms_.size() < kLatencyWindow) {
-      latencies_ms_.push_back(latency);
-    } else {
-      latencies_ms_[latency_next_] = latency;
-    }
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
   } else if (status == Status::kTimedOut) {
     ServeMetrics::get().timed_out.inc();
     n_timed_out_.fetch_add(1, std::memory_order_relaxed);

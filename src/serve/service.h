@@ -118,17 +118,13 @@ struct ServiceCounters {
   std::uint64_t queue_depth = 0;  // at snapshot time
   /// Mean lanes per batched forward (batch occupancy).
   double mean_batch_lanes = 0.0;
-  /// Percentiles over the most recent kLatencyWindow completions (a fixed
-  /// ring, not the full history — memory stays flat under sustained load).
+  /// kOk latency percentiles over the full completion history, read from
+  /// latency_sketch() (obs::QuantileSketch, 1% relative error; memory
+  /// grows with the log of the latency range, not the request count).
   double p50_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
-  /// Sketch-derived tail percentiles over the FULL completion history
-  /// (obs::QuantileSketch, 1% relative error) — the honest numbers bench
-  /// emitters report, immune to the ring window and mergeable across
-  /// replicas for fleet tails.
-  double sketch_p99_ms = 0.0;
-  double sketch_p999_ms = 0.0;
+  double p999_latency_ms = 0.0;
   /// Completed requests per second, first submit -> last completion.
   double qps = 0.0;
   long sessions_created = 0;
@@ -222,9 +218,6 @@ class RecommendService {
     return n_swaps_.load(std::memory_order_relaxed);
   }
 
-  /// Completions kept for the p50/p95/p99 snapshot in counters().
-  static constexpr std::size_t kLatencyWindow = 2048;
-
  private:
   struct Request {
     std::vector<double> insight;
@@ -290,14 +283,9 @@ class RecommendService {
   std::atomic<std::uint64_t> n_ticks_{0};
   std::atomic<std::uint64_t> n_batched_lanes_{0};
   mutable std::mutex counters_mutex_;
-  /// Fixed-size ring of the most recent completion latencies. Bounded by
-  /// kLatencyWindow: a service completing requests forever must not grow
-  /// memory (the full distribution lives in the serve.latency_ms
-  /// histogram; this ring only backs the recent-window percentiles).
-  std::vector<double> latencies_ms_;
-  std::size_t latency_next_ = 0;
-  /// Full-history mergeable tail sketch (guarded by counters_mutex_, like
-  /// the ring): one observe per kOk completion, never windowed.
+  /// Full-history mergeable latency sketch (guarded by counters_mutex_):
+  /// one observe per kOk completion, never windowed. Backs the
+  /// counters() percentiles.
   obs::QuantileSketch latency_sketch_;
   std::uint64_t peak_inflight_ = 0;
   Clock::time_point first_submit_{};

@@ -14,13 +14,10 @@ Histogram::Histogram(double lo, double hi, int bins) : lo_(lo), hi_(hi) {
   counts_.assign(static_cast<std::size_t>(bins), 0);
 }
 
-int Histogram::bucket_for(double x) const noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  return std::clamp(static_cast<int>(t * bins()), 0, bins() - 1);
-}
-
 void Histogram::add(double x) {
-  ++counts_[static_cast<std::size_t>(bucket_for(x))];
+  const double t = (x - lo_) / (hi_ - lo_);
+  const int bin = std::clamp(static_cast<int>(t * bins()), 0, bins() - 1);
+  ++counts_[static_cast<std::size_t>(bin)];
   ++total_;
 }
 

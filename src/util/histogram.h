@@ -1,6 +1,7 @@
 #pragma once
-// Fixed-bin histogram with ASCII rendering, used by the flow reports
-// (endpoint slack distribution) and experiment summaries.
+// Fixed-bin histogram with ASCII rendering, used by the flow report's
+// endpoint slack plot. Latency distributions are obs::QuantileSketch
+// summaries instead (obs/metrics.h).
 
 #include <string>
 #include <vector>
@@ -19,12 +20,6 @@ class Histogram {
   [[nodiscard]] int bins() const noexcept {
     return static_cast<int>(counts_.size());
   }
-  /// Bucket index `x` falls (or clamps) into — the bucket math add() uses,
-  /// exposed so lock-free consumers (obs::MetricsRegistry histograms) can
-  /// share the geometry while keeping their own atomic counts.
-  [[nodiscard]] int bucket_for(double x) const noexcept;
-  [[nodiscard]] double lo() const noexcept { return lo_; }
-  [[nodiscard]] double hi() const noexcept { return hi_; }
   [[nodiscard]] long count(int bin) const;
   [[nodiscard]] long total() const noexcept { return total_; }
   [[nodiscard]] double bin_lo(int bin) const;

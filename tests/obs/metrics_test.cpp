@@ -1,17 +1,19 @@
-// MetricsRegistry: handle registration semantics, histogram bucket math
-// against util::Histogram, and the JSON / Prometheus dumps.
+// MetricsRegistry: handle registration semantics, summary quantiles
+// against exact sample percentiles, and the JSON / Prometheus dumps.
 
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "util/histogram.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace vpr::obs {
 namespace {
@@ -31,14 +33,10 @@ TEST(MetricsRegistryTest, KindMismatchThrows) {
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), std::invalid_argument);
   EXPECT_THROW(registry.counter_d("x"), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("x", 0.0, 1.0, 4), std::invalid_argument);
-  registry.histogram("h", 0.0, 10.0, 5);
-  EXPECT_THROW(registry.histogram("h", 0.0, 10.0, 6),
-               std::invalid_argument);
-  EXPECT_THROW(registry.histogram("h", 0.0, 20.0, 5),
-               std::invalid_argument);
-  // Same geometry is fine.
-  EXPECT_NO_THROW(registry.histogram("h", 0.0, 10.0, 5));
+  EXPECT_THROW(registry.summary("x"), std::invalid_argument);
+  Summary& s = registry.summary("s");
+  EXPECT_THROW(registry.counter("s"), std::invalid_argument);
+  EXPECT_EQ(&registry.summary("s"), &s);
 }
 
 TEST(MetricsRegistryTest, CounterDAndGauge) {
@@ -57,34 +55,38 @@ TEST(MetricsRegistryTest, CounterDAndGauge) {
   EXPECT_DOUBLE_EQ(depth.value(), 5.0);
 }
 
-TEST(MetricsRegistryTest, HistogramMatchesUtilHistogramBucketMath) {
+TEST(MetricsRegistryTest, SummaryTracksExactPercentilesAcrossDecades) {
+  // 0.05 ms .. 5 s: one series must resolve a sub-millisecond swap and a
+  // multi-second flow run alike. 10001 log-uniform samples put p50 and
+  // p99 exactly on a sample, so util::percentile interpolates nothing and
+  // the sketch's 1% relative bound applies directly.
   MetricsRegistry registry;
-  HistogramMetric& metric = registry.histogram("lat", 0.0, 100.0, 10);
-  util::Histogram reference{0.0, 100.0, 10};
-  // In-range, edge, and out-of-range (clamped) samples.
-  const std::vector<double> samples = {-5.0, 0.0,  9.99, 10.0,  55.5,
-                                       99.9, 100.0, 250.0, 42.0, 0.1};
-  for (const double x : samples) {
-    metric.observe(x);
-    reference.add(x);
+  Summary& summary = registry.summary("lat");
+  util::Rng rng{11};
+  std::vector<double> samples = {0.05, 5000.0};
+  while (samples.size() < 10001) {
+    samples.push_back(0.05 * std::pow(10.0, 5.0 * rng.uniform()));
   }
-  ASSERT_EQ(metric.bins(), reference.bins());
-  for (int b = 0; b < metric.bins(); ++b) {
-    EXPECT_EQ(metric.bucket_count(b), reference.count(b)) << "bin " << b;
-    EXPECT_DOUBLE_EQ(metric.bin_lo(b), reference.bin_lo(b));
-    EXPECT_DOUBLE_EQ(metric.bin_hi(b), reference.bin_hi(b));
-  }
-  EXPECT_EQ(metric.total(), static_cast<long>(samples.size()));
   double sum = 0.0;
-  for (const double x : samples) sum += x;
-  EXPECT_DOUBLE_EQ(metric.sum(), sum);
-  EXPECT_EQ(metric.snapshot().total(), reference.total());
+  for (const double x : samples) {
+    summary.observe(x);
+    sum += x;
+  }
+  const QuantileSketch sketch = summary.snapshot();
+  EXPECT_EQ(sketch.count(), samples.size());
+  EXPECT_NEAR(sketch.sum(), sum, 1e-9 * sum);
+  EXPECT_EQ(sketch.min(), 0.05);
+  EXPECT_EQ(sketch.max(), 5000.0);
+  for (const double p : {50.0, 99.0}) {
+    const double exact = util::percentile(samples, p);
+    EXPECT_NEAR(sketch.quantile(p / 100.0), exact, 0.01 * exact) << "p" << p;
+  }
 }
 
 TEST(MetricsRegistryTest, ConcurrentUpdatesAreLossless) {
   MetricsRegistry registry;
   Counter& hits = registry.counter("hits");
-  HistogramMetric& h = registry.histogram("obs", 0.0, 1.0, 4);
+  Summary& h = registry.summary("obs");
   constexpr int kThreads = 4;
   constexpr int kEach = 10000;
   std::vector<std::thread> workers;
@@ -98,30 +100,32 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesAreLossless) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(hits.value(), static_cast<std::uint64_t>(kThreads * kEach));
-  EXPECT_EQ(h.total(), static_cast<long>(kThreads * kEach));
+  EXPECT_EQ(h.snapshot().count(),
+            static_cast<std::uint64_t>(kThreads * kEach));
 }
 
 TEST(MetricsRegistryTest, JsonDumpContainsEverySeries) {
   MetricsRegistry registry;
   registry.counter("a.count").inc(7);
   registry.gauge("b.gauge").set(1.5);
-  registry.histogram("c.hist", 0.0, 4.0, 2).observe(1.0);
+  registry.summary("c.summary").observe(1.0);
   std::ostringstream os;
   registry.to_json().write(os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
   EXPECT_NE(json.find("\"b.gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"c.hist\""), std::string::npos);
+  EXPECT_NE(json.find("\"c.summary\""), std::string::npos);
   EXPECT_NE(json.find("\"count\""), std::string::npos);
   EXPECT_NE(json.find("\"sum\""), std::string::npos);
+  EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  EXPECT_EQ(json.find("\"buckets\""), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, PrometheusTextExposition) {
   MetricsRegistry registry;
   registry.counter("serve.requests", "total requests").inc(3);
   registry.gauge("queue.depth").set(2.0);
-  HistogramMetric& h =
-      registry.histogram("latency.ms", 0.0, 10.0, 2, "latency");
+  Summary& h = registry.summary("latency.ms", "latency");
   h.observe(1.0);
   h.observe(9.0);
   std::ostringstream os;
@@ -134,11 +138,16 @@ TEST(MetricsRegistryTest, PrometheusTextExposition) {
             std::string::npos);
   EXPECT_NE(text.find("serve_requests 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE latency_ms histogram"), std::string::npos);
-  // Cumulative buckets: le="5" sees 1 sample, le="+Inf" both.
-  EXPECT_NE(text.find("latency_ms_bucket{le=\"5\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("latency_ms_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
+  EXPECT_NE(text.find("# TYPE latency_ms summary"), std::string::npos);
+  // Quantile samples straight from the sketch; no _bucket series.
+  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+    std::ostringstream line;
+    line << "latency_ms{quantile=\"" << q << "\"} "
+         << h.snapshot().quantile(q) << '\n';
+    EXPECT_NE(text.find(line.str()), std::string::npos) << line.str();
+  }
+  EXPECT_NE(text.find("latency_ms{quantile=\"0.99\"} "), std::string::npos);
+  EXPECT_EQ(text.find("_bucket"), std::string::npos);
   EXPECT_NE(text.find("latency_ms_count 2"), std::string::npos);
   EXPECT_NE(text.find("latency_ms_sum 10"), std::string::npos);
 }
@@ -153,14 +162,16 @@ TEST(MetricsRegistryTest, SanitizeName) {
 TEST(MetricsRegistryTest, ResetZeroesButKeepsHandles) {
   MetricsRegistry registry;
   Counter& c = registry.counter("c");
-  HistogramMetric& h = registry.histogram("h", 0.0, 1.0, 2);
+  Summary& h = registry.summary("h");
   c.inc(5);
   h.observe(0.3);
   registry.reset();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.total(), 0L);
-  c.inc();  // handle still live
+  EXPECT_EQ(h.snapshot().count(), 0u);
+  c.inc();  // handles still live
+  h.observe(0.3);
   EXPECT_EQ(c.value(), 1u);
+  EXPECT_EQ(h.snapshot().count(), 1u);
 }
 
 TEST(MetricsRegistryTest, ProcessInstanceIsSingleton) {

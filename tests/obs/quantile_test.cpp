@@ -4,8 +4,8 @@
 // accuracy of a true observation at that rank, merging sketches is
 // exactly equivalent to observing the union (so it is associative and
 // commutative by construction), mismatched accuracies refuse to merge,
-// and zeros/negatives collapse into the zero bucket instead of feeding
-// log() garbage.
+// zeros/negatives collapse into the zero bucket instead of feeding log()
+// garbage, and non-finite values are ignored.
 
 #include "obs/quantile.h"
 
@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -169,6 +170,20 @@ TEST(QuantileSketch, NanObservationsAreIgnored) {
   sketch.observe(std::nan(""));
   sketch.observe(2.0);
   EXPECT_EQ(sketch.count(), 1u);
+  EXPECT_NEAR(sketch.quantile(0.5), 2.0, 0.05);
+}
+
+TEST(QuantileSketch, InfinitiesAreIgnoredLikeNan) {
+  // +inf would overflow the bucket index; -inf would poison sum and min.
+  QuantileSketch sketch;
+  sketch.observe(std::numeric_limits<double>::infinity());
+  sketch.observe(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sketch.count(), 0u);
+  sketch.observe(2.0);
+  EXPECT_EQ(sketch.count(), 1u);
+  EXPECT_EQ(sketch.sum(), 2.0);
+  EXPECT_EQ(sketch.min(), 2.0);
+  EXPECT_EQ(sketch.max(), 2.0);
   EXPECT_NEAR(sketch.quantile(0.5), 2.0, 0.05);
 }
 

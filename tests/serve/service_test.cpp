@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "align/beam.h"
+#include "obs/quantile.h"
 #include "obs/trace.h"
 #include "serve/arena.h"
 #include "serve/service.h"
@@ -277,6 +278,27 @@ TEST(RecommendService, CountersArePerInstance) {
   EXPECT_EQ(cb.submitted, 1u);
   EXPECT_EQ(cb.completed, 1u);
   EXPECT_GE(ca.ticks, cb.ticks);
+}
+
+TEST(RecommendService, CounterPercentilesComeFromTheLatencySketch) {
+  // counters() quotes its percentiles from the same full-history sketch
+  // the router merges for fleet tails, so the two can never disagree.
+  const auto model = test_model();
+  const auto insights = suite_insights(model.config().insight_dim);
+  RecommendService service{model, {}};
+  for (const auto& insight : insights) {
+    ASSERT_EQ(service.recommend(insight, 2).status, Status::kOk);
+  }
+  const ServiceCounters c = service.counters();
+  const obs::QuantileSketch sketch = service.latency_sketch();
+  ASSERT_EQ(c.completed, insights.size());
+  ASSERT_EQ(sketch.count(), insights.size());
+  EXPECT_EQ(c.p50_latency_ms, sketch.quantile(0.50));
+  EXPECT_EQ(c.p95_latency_ms, sketch.quantile(0.95));
+  EXPECT_EQ(c.p99_latency_ms, sketch.quantile(0.99));
+  EXPECT_EQ(c.p999_latency_ms, sketch.quantile(0.999));
+  EXPECT_GT(c.p50_latency_ms, 0.0);
+  EXPECT_LE(c.p50_latency_ms, c.p999_latency_ms);
 }
 
 TEST(RecommendService, ShutdownRaceNeverMisreportsRejection) {
