@@ -18,7 +18,6 @@
 #include "align/cache.h"
 #include "align/dataset.h"
 #include "align/evaluator.h"
-#include "flow/eval.h"
 #include "flow/flow.h"
 #include "netlist/suite.h"
 #include "util/log.h"
@@ -93,20 +92,12 @@ inline World load_world() {
     world.dataset = std::move(*cached);
     return world;
   }
-  // Warm the evaluation service from the spill of earlier processes before
-  // paying for the build, then persist what this build evaluated.
-  const std::string spill =
-      align::cache_dir() + "/floweval_" + tag + ".bin";
-  flow::FlowEval::shared().load_disk(spill);
   std::filesystem::create_directories(align::cache_dir());
   world.dataset = align::OfflineDataset::build(world.designs,
                                                dataset_config());
   if (!align::save_dataset(world.dataset, dataset_config().weights, path)) {
     VPR_LOG(Warn) << "failed to write dataset cache " << path
                   << "; the next run will rebuild";
-  }
-  if (!flow::FlowEval::shared().save_disk(spill)) {
-    VPR_LOG(Warn) << "failed to write FlowEval spill " << spill;
   }
   return world;
 }

@@ -5,7 +5,7 @@
 
 // Invoked with no arguments it first emits BENCH_nn.json (tape-free vs
 // tape inference timings, see emit_bench_nn below), BENCH_flow.json
-// (Flow::run vs Flow::run_reference timings, see emit_bench_flow) and
+// (serial vs 4-worker placer timings, see emit_bench_flow) and
 // BENCH_obs.json (disabled-tracing overhead, see emit_bench_obs), then
 // runs the google-benchmark suite; `--bench_nn_only` stops after
 // BENCH_nn.json, `--bench_flow_only` emits only BENCH_flow.json and
@@ -53,37 +53,17 @@ const flow::Design& bench_design() {
   return design;
 }
 
-void BM_FlowRun(benchmark::State& state) {
-  const flow::Flow flow{bench_design()};
-  const auto rs = flow::RecipeSet::from_ids({1, 8, 24});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flow.run(rs));
-  }
-}
-BENCHMARK(BM_FlowRun)->Unit(benchmark::kMillisecond);
-
 // Cold FlowEval throughput: every iteration misses and pays for a full
-// Flow::run (plus the cache insert). Compare against BM_FlowEvalWarm — the
-// gap is what memoization saves on every repeated (design, recipe set).
+// Flow::run on a fresh warm Flow (plus the cache insert).
 void BM_FlowEvalCold(benchmark::State& state) {
   const auto rs = flow::RecipeSet::from_ids({1, 8, 24});
-  flow::FlowEval eval{4};
+  flow::FlowEval eval;
   for (auto _ : state) {
     eval.clear();
     benchmark::DoNotOptimize(eval.eval(bench_design(), rs));
   }
 }
 BENCHMARK(BM_FlowEvalCold)->Unit(benchmark::kMillisecond);
-
-void BM_FlowEvalWarm(benchmark::State& state) {
-  const auto rs = flow::RecipeSet::from_ids({1, 8, 24});
-  flow::FlowEval eval{4};
-  (void)eval.eval(bench_design(), rs);  // populate
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.eval(bench_design(), rs));
-  }
-}
-BENCHMARK(BM_FlowEvalWarm)->Unit(benchmark::kMicrosecond);
 
 void BM_Placement(benchmark::State& state) {
   const auto& nl = bench_design().netlist();
@@ -567,33 +547,12 @@ void emit_bench_nn(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_flow.json: the machine-readable trajectory behind the flow's
-// reuse paths. Two sections:
-//   flow_run        — Flow::run (one STA analyzer per run + placement/route
-//                     memo) vs Flow::run_reference (fresh engines per
-//                     call) on a small / medium / largest suite design,
-//                     re-running one recipe set, with per-stage ms and a
-//                     QoR bitwise-match self-check. A repeated set is the
-//                     memo's best case, not the product workload.
-//   place_parallel  — the partitioned placer at 1 vs 4 workers on the
-//                     largest design (bit-identical by construction).
-// A plain-text baseline (bench/BENCH_flow_baseline.txt — util::Json has no
-// parser) turns regressions into stderr warnings.
-
-/// Best-of-N StageTimes (the iteration with the smallest total_ms). The
-/// minimum is the noise-robust estimator for a deterministic workload:
-/// scheduling hiccups only ever add time. Callers interleave the two flows
-/// being compared so clock drift and thermal state cancel.
-template <typename RunFn>
-void timed_flow_once(RunFn&& run_once, int iter, vpr::flow::StageTimes& best) {
-  const flow::StageTimes t = run_once().stage_times;
-  if (iter == 0 || t.total_ms < best.total_ms) best = t;
-}
-
-bool qor_bitwise_equal(const flow::Qor& a, const flow::Qor& b) {
-  return a.wns == b.wns && a.tns == b.tns && a.hold_tns == b.hold_tns &&
-         a.power == b.power && a.area == b.area && a.drcs == b.drcs;
-}
+// BENCH_flow.json: the partitioned placer at 1 vs 4 workers on the largest
+// suite design (place_parallel; bit-identical by construction, folded into
+// qor_bitwise_match_all). End-to-end flow latency on distinct recipe sets
+// is measured by perfbench, not here. A plain-text baseline
+// (bench/BENCH_flow_baseline.txt — util::Json has no parser) turns
+// regressions into stderr warnings.
 
 /// `key value` per line; '#' starts a comment. Missing file => empty map
 /// (first run, no warnings).
@@ -632,59 +591,6 @@ void emit_bench_flow(const std::string& path) {
 
   util::Json root = util::Json::object();
   bool all_qor_match = true;
-
-  // --- flow_run: end-to-end incremental vs reference -----------------------
-  {
-    util::Json runs = util::Json::array();
-    const auto rs = flow::RecipeSet::from_ids({1, 9, 10, 24, 33});
-    struct Pick {
-      int k;
-      const char* size;
-      int max_iters;
-    };
-    for (const Pick pick : {Pick{11, "small", 14}, Pick{10, "medium", 14},
-                            Pick{17, "largest", 10}}) {
-      const flow::Design design{netlist::suite_design(pick.k)};
-      const flow::Flow flow{design};
-      // The QoR check doubles as the warmup run for both variants.
-      const bool qor_match =
-          qor_bitwise_equal(flow.run(rs).qor, flow.run_reference(rs).qor);
-      all_qor_match = all_qor_match && qor_match;
-      flow::StageTimes fast, ref;
-      for (int iter = 0; iter < pick.max_iters; ++iter) {
-        timed_flow_once([&] { return flow.run(rs); }, iter, fast);
-        timed_flow_once([&] { return flow.run_reference(rs); }, iter, ref);
-      }
-      util::Json row = util::Json::object();
-      row["design"] = design.name();
-      row["size_class"] = std::string{pick.size};
-      row["cells"] = design.netlist().cell_count();
-      // Scaling honesty: the placer's parallel speedup only means
-      // something with real cores behind it; on a 1-core host the flag
-      // tells readers the number measures dispatch overhead.
-      const auto hw = std::thread::hardware_concurrency();
-      row["hardware_concurrency"] = static_cast<std::size_t>(hw);
-      row["placer_parallel_meaningful"] = hw > 1;
-      row["qor_bitwise_match"] = qor_match;
-      row["fast_total_ms"] = fast.total_ms;
-      row["reference_total_ms"] = ref.total_ms;
-      row["total_speedup"] = ref.total_ms / fast.total_ms;
-      row["fast_sta_ms"] = fast.sta_ms;
-      row["reference_sta_ms"] = ref.sta_ms;
-      row["sta_speedup"] = ref.sta_ms / fast.sta_ms;
-      util::Json stages = util::Json::object();
-      stages["place_ms"] = fast.place_ms;
-      stages["cts_ms"] = fast.cts_ms;
-      stages["route_ms"] = fast.route_ms;
-      stages["sta_ms"] = fast.sta_ms;
-      stages["opt_ms"] = fast.opt_ms;
-      stages["power_ms"] = fast.power_ms;
-      row["fast_stages"] = std::move(stages);
-      runs.push_back(std::move(row));
-      warn_regression("flow_fast_total_ms_" + design.name(), fast.total_ms);
-    }
-    root["flow_run"] = std::move(runs);
-  }
 
   // --- place_parallel: partitioned placer, 1 vs 4 workers ----------------
   {
@@ -745,8 +651,8 @@ void emit_bench_flow(const std::string& path) {
   root["qor_bitwise_match_all"] = all_qor_match;
   if (!all_qor_match) {
     std::fprintf(stderr,
-                 "WARNING: BENCH_flow: fast-path results diverged from the "
-                 "reference flow\n");
+                 "WARNING: BENCH_flow: the 4-worker placement diverged from "
+                 "the serial one\n");
   }
 
   std::ofstream os{path};

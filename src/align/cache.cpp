@@ -1,5 +1,6 @@
 #include "align/cache.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -86,9 +87,13 @@ std::optional<OfflineDataset> load_dataset(const std::string& path) {
     }
     std::uint64_t n_points = 0;
     if (!read_pod(is, n_points) || n_points > (1u << 24)) return std::nullopt;
-    d.points.resize(n_points);
-    for (auto& p : d.points) {
+    // The count is untrusted: reserve a bounded prefix and grow only as
+    // points actually arrive, so a short file cannot size the allocation.
+    d.points.reserve(std::min<std::uint64_t>(n_points, 4096));
+    for (std::uint64_t i = 0; i < n_points; ++i) {
+      DataPoint p;
       if (!read_point(is, p)) return std::nullopt;
+      d.points.push_back(p);
     }
   }
   return OfflineDataset::from_designs(std::move(designs), weights);

@@ -1,5 +1,6 @@
 #include "model/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -97,10 +98,18 @@ LoadResult load_snapshot(std::istream& is) {
   std::uint64_t count = 0;
   if (!util::read_pod(is, count)) return fail("truncated header");
   if (count > kMaxParams) return fail("implausible parameter count");
-  snapshot.state.resize(count);
-  is.read(reinterpret_cast<char*>(snapshot.state.data()),
-          static_cast<std::streamsize>(count * sizeof(double)));
-  if (!is) return fail("truncated parameter payload");
+  // The payload grows only as its bytes arrive, one bounded chunk at a
+  // time: a plausible count followed by a short file must not make the
+  // reader allocate (and zero) the full claimed size first.
+  constexpr std::uint64_t kChunk = 1ULL << 16;  // doubles per read
+  while (snapshot.state.size() < count) {
+    const std::size_t have = snapshot.state.size();
+    const std::size_t n = std::min(kChunk, count - have);
+    snapshot.state.resize(have + n);
+    is.read(reinterpret_cast<char*>(snapshot.state.data() + have),
+            static_cast<std::streamsize>(n * sizeof(double)));
+    if (!is) return fail("truncated parameter payload");
+  }
   const std::uint64_t computed = state_checksum(snapshot.state);
   if (computed != stored_checksum) {
     std::ostringstream msg;

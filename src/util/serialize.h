@@ -1,8 +1,8 @@
 #pragma once
-// Shared binary serialization helpers for the on-disk caches: the offline
-// dataset / cross-validation artifacts (align/cache.cpp) and the FlowEval
-// QoR spill (flow/eval.cpp). Little-endian PODs, length-prefixed strings;
-// readers validate stream state and bound every length field.
+// Shared binary serialization helpers for the on-disk files: the offline
+// dataset / cross-validation artifacts (align/cache.cpp) and the model
+// snapshots (model/snapshot.cpp). Little-endian PODs, length-prefixed
+// strings; readers validate stream state and bound every length field.
 
 #include <cstdint>
 #include <cstdlib>

@@ -1,16 +1,16 @@
 #pragma once
-// Persistent work-stealing thread pool. util::parallel_for spawns and joins
-// N fresh threads on every call, which the offline dataset builder tolerates
-// (one call per design) but the hot evaluation paths — beam-search
-// validation, online tuning, FlowEval batches — do not. ThreadPool starts
-// its workers once and parks them on a condition variable between jobs.
+// Persistent work-stealing thread pool, the one parallel-for of the code
+// base. Spawning and joining fresh threads per call would cost the hot
+// evaluation paths — beam-search validation, online tuning, FlowEval
+// batches — on every call; ThreadPool starts its workers once and parks
+// them on a condition variable between jobs.
 //
 // parallel_for splits [0, n) into one contiguous range per participant;
 // a participant that drains its own range steals half of the largest
 // remaining range (chunked work stealing), so uneven bodies (flow runs on
 // designs of different sizes) still balance.
 //
-// Guarantees, matching util::parallel_for:
+// Guarantees:
 //  - every index is executed exactly once (unless a body throws);
 //  - an exception in the body cancels the remaining indices and the first
 //    exception is rethrown on the calling thread;

@@ -1,6 +1,7 @@
 #include "align/dataset.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -8,6 +9,7 @@
 #include <set>
 
 #include "align/cache.h"
+#include "insight/insight.h"
 
 namespace vpr::align {
 namespace {
@@ -205,6 +207,38 @@ TEST(DatasetCache, RejectsInsightDimensionMismatch) {
     fs.write(reinterpret_cast<const char*>(&wrong_dims), sizeof(wrong_dims));
   }
   EXPECT_FALSE(load_dataset(path).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(DatasetCache, PlausiblePointCountWithoutPointsDoesNotAllocateIt) {
+  // First design's point count patched to 2^24 (the bound; 512 MiB of
+  // DataPoints) and the file cut right after it: the load must fail
+  // without the reader first allocating what the header claims.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ia_huge_count.bin").string();
+  ASSERT_TRUE(save_dataset(shared_dataset(), QorWeights{}, path));
+  const std::string& name = shared_dataset().design(0).name;
+  // magic + dims (u32 each), two weights, design count, then the first
+  // design's length-prefixed name and insight vector.
+  const std::size_t count_offset = 2 * sizeof(std::uint32_t) +
+                                   3 * sizeof(std::uint64_t) +
+                                   sizeof(std::uint64_t) + name.size() +
+                                   insight::kInsightDims * sizeof(double);
+  {
+    std::fstream fs{path, std::ios::binary | std::ios::in | std::ios::out};
+    fs.seekp(static_cast<std::streamoff>(count_offset));
+    const std::uint64_t claimed = 1ULL << 24;
+    fs.write(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+  }
+  std::filesystem::resize_file(path, count_offset + sizeof(std::uint64_t));
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const long before_kib = usage.ru_maxrss;
+  EXPECT_FALSE(load_dataset(path).has_value());
+  getrusage(RUSAGE_SELF, &usage);
+  const long grown_kib = usage.ru_maxrss - before_kib;
+  EXPECT_LT(grown_kib, 64 * 1024) << "peak RSS grew by " << grown_kib
+                                  << " KiB";
   std::remove(path.c_str());
 }
 

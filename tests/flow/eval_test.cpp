@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,12 +28,8 @@ const Design& design_b() {
   return d;
 }
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(FlowEval, MemoizedQorMatchesFreshFlowRun) {
-  FlowEval eval{4};
+  FlowEval eval;
   const auto rs = RecipeSet::from_ids({1, 8, 24});
   const Qor cached = eval.eval(design_a(), rs);
   const Qor fresh = Flow{design_a()}.run(rs).qor;
@@ -49,7 +41,7 @@ TEST(FlowEval, MemoizedQorMatchesFreshFlowRun) {
 }
 
 TEST(FlowEval, CountsHitsAndMisses) {
-  FlowEval eval{4};
+  FlowEval eval;
   const auto rs1 = RecipeSet::from_ids({2, 9});
   const auto rs2 = RecipeSet::from_ids({3});
   (void)eval.eval(design_a(), rs1);  // miss
@@ -66,7 +58,7 @@ TEST(FlowEval, CountsHitsAndMisses) {
 }
 
 TEST(FlowEval, SameRecipesOnDifferentDesignsAreDistinctKeys) {
-  FlowEval eval{4};
+  FlowEval eval;
   const auto rs = RecipeSet::from_ids({5});
   (void)eval.eval(design_a(), rs);
   (void)eval.eval(design_b(), rs);
@@ -82,7 +74,7 @@ TEST(FlowEval, FingerprintSensitiveToTraits) {
 }
 
 TEST(FlowEval, ProbeRunsOncePerDesign) {
-  FlowEval eval{4};
+  FlowEval eval;
   const FlowResult& first = eval.probe(design_a());
   const FlowResult& second = eval.probe(design_a());
   EXPECT_EQ(&first, &second);
@@ -95,7 +87,7 @@ TEST(FlowEval, ProbeIsEvictedWithItsWarmFlow) {
   // Probes live with the design's warm Flow, so probing more than
   // kMaxWarmFlows designs evicts the least recently used one; probing it
   // again re-runs the (deterministic) flow.
-  FlowEval eval{4};
+  FlowEval eval;
   std::vector<std::unique_ptr<Design>> designs;
   for (std::size_t i = 0; i <= FlowEval::kMaxWarmFlows; ++i) {
     netlist::DesignTraits t = eval_traits("evLru", 9100 + i);
@@ -121,78 +113,39 @@ TEST(FlowEval, ProbeIsEvictedWithItsWarmFlow) {
 }
 
 TEST(FlowEval, EvalManyPopulatesEverySlot) {
-  FlowEval eval{4};
+  // Every set appears 4 times, one whole copy after another, so the pool
+  // participants' contiguous ranges request the same keys at once; each
+  // key must still run the flow exactly once.
+  constexpr std::size_t kUnique = 12;
+  constexpr std::size_t kCopies = 4;
+  FlowEval eval;
   std::vector<RecipeSet> sets;
-  for (int i = 0; i < 12; ++i) sets.push_back(RecipeSet::from_ids({i, i + 8}));
+  for (std::size_t c = 0; c < kCopies; ++c) {
+    for (std::size_t i = 0; i < kUnique; ++i) {
+      const int id = static_cast<int>(i);
+      sets.push_back(RecipeSet::from_ids({id, id + 8}));
+    }
+  }
   std::vector<Qor> out(sets.size());
   eval.eval_many(design_a(), sets,
                  [&](std::size_t i, const Qor& q) { out[i] = q; });
+  const FlowEvalStats s = eval.stats();
+  EXPECT_EQ(s.misses, kUnique);
+  EXPECT_EQ(s.hits, kUnique * (kCopies - 1));
+  EXPECT_EQ(eval.size(), kUnique);
   for (std::size_t i = 0; i < sets.size(); ++i) {
     EXPECT_GT(out[i].power, 0.0) << i;
     EXPECT_DOUBLE_EQ(out[i].power, eval.eval(design_a(), sets[i]).power) << i;
+    EXPECT_EQ(out[i].power, out[i % kUnique].power) << i;
   }
-  EXPECT_EQ(eval.stats().misses, sets.size());
 }
 
 TEST(FlowEval, ClearDropsEntriesAndStats) {
-  FlowEval eval{4};
+  FlowEval eval;
   (void)eval.eval(design_a(), RecipeSet::from_ids({1}));
   eval.clear();
   EXPECT_EQ(eval.size(), 0u);
   EXPECT_EQ(eval.stats().misses, 0u);
-}
-
-TEST(FlowEval, DiskSpillRoundTrip) {
-  const std::string path = temp_path("ia_floweval_test.bin");
-  const auto rs1 = RecipeSet::from_ids({4, 11});
-  const auto rs2 = RecipeSet::from_ids({7});
-  Qor q1;
-  Qor q2;
-  {
-    FlowEval eval{4};
-    q1 = eval.eval(design_a(), rs1);
-    q2 = eval.eval(design_b(), rs2);
-    ASSERT_TRUE(eval.save_disk(path));
-  }
-  FlowEval warm{4};
-  ASSERT_TRUE(warm.load_disk(path));
-  EXPECT_EQ(warm.size(), 2u);
-  EXPECT_DOUBLE_EQ(warm.eval(design_a(), rs1).power, q1.power);
-  EXPECT_DOUBLE_EQ(warm.eval(design_b(), rs2).tns, q2.tns);
-  // Both lookups were served from the loaded spill: zero evaluations.
-  EXPECT_EQ(warm.stats().misses, 0u);
-  EXPECT_EQ(warm.stats().hits, 2u);
-  std::remove(path.c_str());
-}
-
-TEST(FlowEval, SaveDiskReportsUnwritableTarget) {
-  // A regular file used as a directory component makes the target
-  // unwritable even for root.
-  const std::string blocker = temp_path("ia_floweval_blocker.bin");
-  { std::ofstream os{blocker}; os << "x"; }
-  FlowEval eval{4};
-  (void)eval.eval(design_a(), RecipeSet::from_ids({1}));
-  EXPECT_FALSE(eval.save_disk(blocker + "/nested/spill.bin"));
-  std::remove(blocker.c_str());
-}
-
-TEST(FlowEval, LoadDiskRejectsMissingAndCorrupt) {
-  FlowEval eval{4};
-  EXPECT_FALSE(eval.load_disk("/nonexistent/floweval.bin"));
-  const std::string path = temp_path("ia_floweval_corrupt.bin");
-  { std::ofstream os{path, std::ios::binary}; os << "garbage bytes"; }
-  EXPECT_FALSE(eval.load_disk(path));
-  EXPECT_EQ(eval.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(FlowEval, PrintStatsRendersTable) {
-  FlowEval eval{4};
-  (void)eval.eval(design_a(), RecipeSet::from_ids({1}));
-  std::ostringstream os;
-  eval.print_stats(os);
-  EXPECT_NE(os.str().find("FlowEval"), std::string::npos);
-  EXPECT_NE(os.str().find("hit rate"), std::string::npos);
 }
 
 TEST(FlowEval, SharedServiceIsSingleton) {

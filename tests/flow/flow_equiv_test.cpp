@@ -133,12 +133,18 @@ TEST(FlowEquiv, SmallDesignManyRecipeSets) {
 TEST(FlowEquiv, AllSuiteDesignsSampledRecipeSets) {
   // Successive recipe sets on one Flow hit the warm path (placement and
   // route memo), and every warm result must match the cold run_reference
-  // oracle bit-for-bit.
+  // oracle bit-for-bit. The small, medium and largest designs (D11, D10,
+  // D17) also run one fixed mix of setup, hold, route-effort and power
+  // recovery recipes.
   for (int k = 1; k <= netlist::kSuiteSize; ++k) {
     const Design design{netlist::suite_design(k)};
     const Flow flow{design};
-    for (const RecipeSet& rs :
-         sample_recipe_sets(3, 0xd00dULL + static_cast<std::uint64_t>(k))) {
+    std::vector<RecipeSet> sets =
+        sample_recipe_sets(3, 0xd00dULL + static_cast<std::uint64_t>(k));
+    if (k == 10 || k == 11 || k == 17) {
+      sets.push_back(RecipeSet::from_ids({1, 9, 10, 24, 33}));
+    }
+    for (const RecipeSet& rs : sets) {
       const FlowResult fast = flow.run(rs);
       const FlowResult ref = flow.run_reference(rs);
       expect_qor_equal(fast.qor, ref.qor,

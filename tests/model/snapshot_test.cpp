@@ -7,6 +7,7 @@
 // final name in a polled registry directory).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <cstring>
@@ -41,6 +42,13 @@ std::string encode(const Snapshot& snapshot) {
 LoadResult decode(const std::string& bytes) {
   std::istringstream is{bytes, std::ios::binary};
   return load_snapshot(is);
+}
+
+/// Peak resident set of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
 }
 
 /// RAII temp directory; contents removed on destruction.
@@ -140,6 +148,27 @@ TEST(Snapshot, ImplausibleParameterCountDoesNotAllocate) {
   EXPECT_NE(result.error.find("implausible parameter count"),
             std::string::npos)
       << result.error;
+}
+
+TEST(Snapshot, PlausibleCountWithoutPayloadDoesNotAllocateIt) {
+  // A count under the sanity bound (2^26 doubles = 512 MiB) followed by
+  // EOF must fail without the reader first allocating what it claims.
+  Snapshot snapshot = sample_snapshot();
+  snapshot.meta.clear();
+  std::string bytes = encode(snapshot);
+  const std::size_t count_offset = 4 * sizeof(std::uint64_t);
+  const std::uint64_t claimed = 1ULL << 26;
+  std::memcpy(bytes.data() + count_offset, &claimed, sizeof(claimed));
+  bytes.resize(count_offset + sizeof(claimed));
+  const long before = peak_rss_kib();
+  const LoadResult result = decode(bytes);
+  const long grown_kib = peak_rss_kib() - before;
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("truncated parameter payload"),
+            std::string::npos)
+      << result.error;
+  EXPECT_LT(grown_kib, 64 * 1024) << "peak RSS grew by " << grown_kib
+                                  << " KiB";
 }
 
 TEST(Snapshot, FilenameRoundTripsAndRejectsForeignNames) {
