@@ -458,55 +458,6 @@ void emit_bench_nn(const std::string& path) {
       if (have_avx2) warn_lower_gflops("kern_attn_scores_avx2_gflops", g.avx2);
     }
 
-    if (have_avx2) {
-      // Backward accumulators: exact table vs the kFast reassociated FMA
-      // variants, plus the observed divergence (kFast's contract is
-      // tolerance, not bits).
-      (void)nn::kern::force_isa(Isa::kAvx2);
-      const int m = 54, k = 64, n = 32;
-      std::vector<double> a(static_cast<std::size_t>(m) * k);
-      std::vector<double> bt(static_cast<std::size_t>(n) * k);
-      for (double& x : a) x = rng.uniform(-1.0, 1.0);
-      for (double& x : bt) x = rng.uniform(-1.0, 1.0);
-      std::vector<double> c(static_cast<std::size_t>(m) * n);
-      const double flop = 2.0 * m * k * n;
-      const auto nt_ms = [&] {
-        double best = 0.0;
-        for (int trial = 0; trial < 5; ++trial) {
-          const double ms = timed_ms(
-              [&] {
-                std::fill(c.begin(), c.end(), 0.0);
-                nn::kern::bwd::matmul_nt_acc(a.data(), bt.data(), c.data(), m,
-                                             k, n);
-                benchmark::DoNotOptimize(c.data());
-              },
-              /*warmup=*/2, /*min_total_ms=*/8.0, /*max_iters=*/1000);
-          if (trial == 0 || ms < best) best = ms;
-        }
-        return best;
-      };
-      nn::kern::set_mode(nn::kern::KernelMode::kExact);
-      const double exact_ms = nt_ms();
-      std::vector<double> c_exact = c;
-      nn::kern::set_mode(nn::kern::KernelMode::kFast);
-      const double fast_ms = nt_ms();
-      nn::kern::set_mode(nn::kern::KernelMode::kExact);
-      double max_rel = 0.0;
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        max_rel = std::max(max_rel, std::abs(c[i] - c_exact[i]) /
-                                        (1.0 + std::abs(c_exact[i])));
-      }
-      util::Json row = util::Json::object();
-      row["m"] = m;
-      row["k"] = k;
-      row["n"] = n;
-      row["exact_gflops"] = flop / (exact_ms * 1e6);
-      row["fast_gflops"] = flop / (fast_ms * 1e6);
-      row["fast_speedup"] = exact_ms / fast_ms;
-      row["fast_max_rel_err"] = max_rel;
-      kernels["bwd_nt_acc"] = std::move(row);
-    }
-
     (void)nn::kern::force_isa(initial_isa);
     root["kernels"] = std::move(kernels);
   }

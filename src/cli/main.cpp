@@ -35,7 +35,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_merge.h"
-#include "serve/bench.h"
 #include "serve/client.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -73,9 +72,6 @@ using namespace vpr;
       "  publish --registry-dir DIR --model FILE [--meta TEXT]\n"
       "                                      publish aligned weights as the\n"
       "                                      next registry version\n"
-      "  serve-bench [--requests N] [--concurrency N] [--width K]\n"
-      "              [--sweeps N] [--replicas N] [--publish-every N]\n"
-      "              [--json FILE]\n"
       "  serve-bench --connect [HOST:]PORT [--connections N] [--window N]\n"
       "              [--requests N] [--width K] [--deadline MS]\n"
       "              [--priority interactive|normal|batch] [--no-verify]\n"
@@ -270,53 +266,35 @@ serve::Priority parse_priority(const std::string& name) {
 }
 
 int cmd_serve_bench(const util::Args& args) {
-  if (const auto connect = args.get("connect")) {
-    obs::TraceRecorder::instance().set_process_name("insightalign-client");
-    const auto endpoint =
-        cli::parse_host_port(*connect, "serve-bench --connect");
-    serve::ClientBenchOptions opts;
-    opts.host = endpoint.host;
-    opts.port = endpoint.port;
-    opts.connections = args.get_int("connections", opts.connections);
-    opts.window = args.get_int("window", opts.window);
-    opts.requests = args.get_int("requests", opts.requests);
-    opts.beam_width = args.get_int("width", opts.beam_width);
-    const int deadline = args.get_int("deadline", 0);
-    if (deadline < 0) {
-      throw cli::UsageError("serve-bench: --deadline must be >= 0 ms");
-    }
-    opts.deadline_ms = static_cast<std::uint32_t>(deadline);
-    opts.priority = parse_priority(args.get_or("priority", "normal"));
-    opts.verify = !args.has("no-verify");
-    opts.json_path = args.get_or("json", "");
-    if (opts.connections < 1 || opts.window < 1 || opts.requests < 1 ||
-        opts.beam_width < 1) {
-      throw cli::UsageError(
-          "serve-bench: --connections/--window/--requests/--width must be "
-          ">= 1");
-    }
-    return serve::run_client_bench(opts);
+  const auto connect = args.get("connect");
+  if (!connect) {
+    throw cli::UsageError("serve-bench: --connect [HOST:]PORT required");
   }
-  serve::ServeBenchOptions opts;
+  obs::TraceRecorder::instance().set_process_name("insightalign-client");
+  const auto endpoint =
+      cli::parse_host_port(*connect, "serve-bench --connect");
+  serve::ClientBenchOptions opts;
+  opts.host = endpoint.host;
+  opts.port = endpoint.port;
+  opts.connections = args.get_int("connections", opts.connections);
+  opts.window = args.get_int("window", opts.window);
   opts.requests = args.get_int("requests", opts.requests);
-  opts.concurrency = args.get_int("concurrency", opts.concurrency);
   opts.beam_width = args.get_int("width", opts.beam_width);
-  opts.sweeps = args.get_int("sweeps", opts.sweeps);
-  opts.replicas = args.get_int("replicas", opts.replicas);
-  opts.publish_every = args.get_int("publish-every", opts.publish_every);
-  opts.json_path = args.get_or("json", opts.json_path);
-  if (opts.requests < 1 || opts.concurrency < 1 || opts.beam_width < 1 ||
-      opts.sweeps < 1 || opts.replicas < 1) {
-    throw cli::UsageError(
-        "serve-bench: --requests/--concurrency/--width/--sweeps/--replicas "
-        "must be >= 1");
+  const int deadline = args.get_int("deadline", 0);
+  if (deadline < 0) {
+    throw cli::UsageError("serve-bench: --deadline must be >= 0 ms");
   }
-  if (opts.publish_every < 0) {
+  opts.deadline_ms = static_cast<std::uint32_t>(deadline);
+  opts.priority = parse_priority(args.get_or("priority", "normal"));
+  opts.verify = !args.has("no-verify");
+  opts.json_path = args.get_or("json", "");
+  if (opts.connections < 1 || opts.window < 1 || opts.requests < 1 ||
+      opts.beam_width < 1) {
     throw cli::UsageError(
-        "serve-bench: --publish-every must be >= 0 (0 disables the hotswap "
-        "sweep)");
+        "serve-bench: --connections/--window/--requests/--width must be "
+        ">= 1");
   }
-  return serve::run_serve_bench(opts);
+  return serve::run_client_bench(opts);
 }
 
 /// SIGINT/SIGTERM set this; the serve loop polls it and drains. A flag is

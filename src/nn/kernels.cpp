@@ -4,8 +4,8 @@
 // GCC autovectorizes for the baseline ISA (see src/nn/CMakeLists.txt for
 // the pinned flags). The dispatcher probes the CPU once at static-init
 // time and installs the AVX2 table when available; INSIGHTALIGN_KERNELS
-// overrides the probe (scalar|avx2|auto), and force_isa()/set_mode() flip
-// tables at runtime for tests and benchmarks.
+// overrides the probe (scalar|avx2|auto), and force_isa() flips tables
+// at runtime for tests and benchmarks.
 
 #include "nn/kernels_impl.h"
 
@@ -186,33 +186,24 @@ constexpr Kernels kScalarTable{
 };
 
 std::atomic<Isa> g_isa{Isa::kScalar};
-std::atomic<KernelMode> g_mode{KernelMode::kExact};
 
 bool cpu_has_avx2() {
 #if defined(VPR_KERN_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
 }
 
-/// Install the tables implied by (g_isa, g_mode). The exact table never
-/// depends on the mode; only the backward table swaps.
+/// Install the table implied by g_isa.
 void apply_dispatch() {
 #if defined(VPR_KERN_HAVE_AVX2)
   if (g_isa.load(std::memory_order_relaxed) == Isa::kAvx2) {
     detail::active.store(&avx2::exact_table(), std::memory_order_relaxed);
-    detail::active_bwd.store(g_mode.load(std::memory_order_relaxed) ==
-                                     KernelMode::kFast
-                                 ? &avx2::fast_table()
-                                 : &avx2::exact_table(),
-                             std::memory_order_relaxed);
     return;
   }
 #endif
   detail::active.store(&kScalarTable, std::memory_order_relaxed);
-  // Scalar has no reassociated variants: kFast degrades to exact.
-  detail::active_bwd.store(&kScalarTable, std::memory_order_relaxed);
 }
 
 /// One-time startup selection: INSIGHTALIGN_KERNELS env override, else
@@ -255,7 +246,6 @@ namespace detail {
 // constinit so any pre-main kernel call observes a valid (scalar) table
 // regardless of TU initialization order.
 constinit std::atomic<const Kernels*> active{&kScalarTable};
-constinit std::atomic<const Kernels*> active_bwd{&kScalarTable};
 }  // namespace detail
 
 Isa active_isa() { return g_isa.load(std::memory_order_relaxed); }
@@ -267,13 +257,6 @@ bool force_isa(Isa isa) {
   g_isa.store(isa, std::memory_order_relaxed);
   apply_dispatch();
   return true;
-}
-
-KernelMode mode() { return g_mode.load(std::memory_order_relaxed); }
-
-void set_mode(KernelMode mode) {
-  g_mode.store(mode, std::memory_order_relaxed);
-  apply_dispatch();
 }
 
 const char* isa_name(Isa isa) {

@@ -18,11 +18,10 @@
 // keeps its own accumulator and the inner index still advances in scalar
 // order, the AVX2 exact kernels are bitwise identical to the scalar ones
 // for every shape. Reductions that would need reassociation to vectorize
-// (the backward dA = dC * B^T dots) only get a SIMD variant under
-// KernelMode::kFast, which the inference paths never consult.
+// (the backward dA = dC * B^T dots) keep the scalar kernel.
 //
 // Selection order: INSIGHTALIGN_KERNELS=scalar|avx2|auto (env), then
-// cpuid. force_isa()/set_mode() override at runtime (tests, benches).
+// cpuid. force_isa() overrides at runtime (tests, benches).
 
 #include <atomic>
 #include <cstddef>
@@ -31,14 +30,7 @@ namespace vpr::nn::kern {
 
 enum class Isa { kScalar = 0, kAvx2 = 1 };
 
-/// kExact: every kernel keeps the ascending-index single-accumulator
-/// contract (bitwise identical across ISAs). kFast: the backward
-/// accumulator kernels (kern::bwd::*) may reassociate into blocked FMA
-/// reductions — faster, tolerance-tested, never bitwise. Forward/inference
-/// entry points ignore the mode entirely.
-enum class KernelMode { kExact = 0, kFast = 1 };
-
-/// Function-pointer table for one (isa, variant) combination.
+/// Function-pointer table for one ISA.
 struct Kernels {
   void (*matmul)(const double* a, const double* b, double* c, int m, int k,
                  int n);
@@ -55,11 +47,8 @@ struct Kernels {
 };
 
 namespace detail {
-/// Active exact table (isa-selected; always exact-contract kernels).
+/// Active table (isa-selected; always exact-contract kernels).
 extern std::atomic<const Kernels*> active;
-/// Active backward table (exact by default; kFast swaps in reassociated
-/// FMA variants for the gradient accumulators only).
-extern std::atomic<const Kernels*> active_bwd;
 }  // namespace detail
 
 /// C(m x n) = A(m x k) * B(k x n). Overwrites C. Each output element is a
@@ -120,24 +109,6 @@ inline void matmul_tn_acc(const double* a, const double* b, double* c, int m,
       ->matmul_tn_acc(a, b, c, m, k, n);
 }
 
-namespace bwd {
-/// Gradient-accumulator entry points used by the autograd tape's matmul
-/// backward. Under the default KernelMode::kExact they are the same exact
-/// kernels as kern::matmul_*_acc; under kFast they may use blocked FMA
-/// reductions (reassociated — tolerance-tested, not bitwise). Inference
-/// never routes through these.
-inline void matmul_nt_acc(const double* a, const double* b, double* c, int m,
-                          int k, int n) {
-  detail::active_bwd.load(std::memory_order_relaxed)
-      ->matmul_nt_acc(a, b, c, m, k, n);
-}
-inline void matmul_tn_acc(const double* a, const double* b, double* c, int m,
-                          int k, int n) {
-  detail::active_bwd.load(std::memory_order_relaxed)
-      ->matmul_tn_acc(a, b, c, m, k, n);
-}
-}  // namespace bwd
-
 /// Ascending-index single-accumulator dot product — the reference
 /// summation order every exact kernel preserves per output element. A lone
 /// dot is a reduction over the inner index, so it cannot vectorize without
@@ -156,9 +127,6 @@ inline void matmul_tn_acc(const double* a, const double* b, double* c, int m,
 /// Install the kernel table for `isa`. Returns false (and leaves the
 /// dispatch unchanged) when the ISA is unsupported on this host/build.
 bool force_isa(Isa isa);
-/// Mode consulted by the kern::bwd entry points only.
-[[nodiscard]] KernelMode mode();
-void set_mode(KernelMode mode);
 [[nodiscard]] const char* isa_name(Isa isa);
 
 }  // namespace vpr::nn::kern

@@ -1,28 +1,23 @@
 // Explicit AVX2 kernel table. Compiled only on x86-64, with
-// -mavx2 -mfma -ffp-contract=off (see src/nn/CMakeLists.txt).
+// -mavx2 -ffp-contract=off (see src/nn/CMakeLists.txt).
 //
 // Exactness strategy: the exact kernels vectorize ACROSS output elements —
 // broadcast the shared A operand, load B rows unit-stride, and combine with
 // separate _mm256_mul_pd / _mm256_add_pd (never fmadd). Each SIMD lane then
 // holds exactly one output element's single accumulator, advanced over the
 // inner index in the same ascending order as the scalar oracle, so results
-// are bitwise identical for every shape. -ffp-contract=off matters for the
-// scalar remainder loops in this TU: with FMA available the compiler would
-// otherwise contract `acc += a * b` into a fused multiply-add and change
-// the rounding.
-//
-// The kFast variants (backward gradient accumulators only) drop the
-// contract: per-element reductions split into multiple FMA accumulators
-// and fold with a horizontal sum — reassociated, tolerance-tested, never
-// routed to inference.
+// are bitwise identical for every shape. -ffp-contract=off guards the
+// scalar remainder loops in this TU: should FMA ever be enabled for it
+// (say by a global -march=native), the compiler could otherwise contract
+// `acc += a * b` into a fused multiply-add and change the rounding.
 
 #include "nn/kernels_impl.h"
 
 #if !defined(VPR_KERN_HAVE_AVX2)
 #error "kernels_avx2.cpp compiled without VPR_KERN_HAVE_AVX2"
 #endif
-#if !defined(__AVX2__) || !defined(__FMA__)
-#error "kernels_avx2.cpp requires -mavx2 -mfma"
+#if !defined(__AVX2__)
+#error "kernels_avx2.cpp requires -mavx2"
 #endif
 
 #include <immintrin.h>
@@ -234,65 +229,6 @@ void scatter_rows(const double* src, int rows, int dim, double* const* dst) {
   }
 }
 
-// ----- kFast backward variants (reassociated; tolerance contract) -----
-
-// Two-accumulator FMA dot with a horizontal fold — the reassociation the
-// exact kernels are forbidden: partial sums interleave p % 8 lanes.
-inline double dot_fma(const double* a, const double* b, int k) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int p = 0;
-  for (; p + 8 <= k; p += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + p), _mm256_loadu_pd(b + p),
-                           acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + p + 4),
-                           _mm256_loadu_pd(b + p + 4), acc1);
-  }
-  for (; p + 4 <= k; p += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + p), _mm256_loadu_pd(b + p),
-                           acc0);
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d s = _mm_add_pd(lo, hi);
-  double r = _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-  for (; p < k; ++p) r += a[p] * b[p];
-  return r;
-}
-
-void matmul_nt_acc_fast(const double* a, const double* b, double* c, int m,
-                        int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a + static_cast<std::size_t>(i) * k;
-    double* crow = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      crow[j] += dot_fma(arow, b + static_cast<std::size_t>(j) * k, k);
-    }
-  }
-}
-
-void matmul_tn_acc_fast(const double* a, const double* b, double* c, int m,
-                        int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a + static_cast<std::size_t>(i) * k;
-    const double* brow = b + static_cast<std::size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      double* crow = c + static_cast<std::size_t>(p) * n;
-      const __m256d avv = _mm256_set1_pd(av);
-      int j = 0;
-      for (; j + 4 <= n; j += 4) {
-        _mm256_storeu_pd(crow + j,
-                         _mm256_fmadd_pd(avv, _mm256_loadu_pd(brow + j),
-                                         _mm256_loadu_pd(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 }  // namespace
 
 const Kernels& exact_table() {
@@ -302,14 +238,6 @@ const Kernels& exact_table() {
   static constexpr Kernels t{
       matmul,       scalar::matmul_nt_acc, matmul_tn_acc,
       scatter_rows, scalar::scatter_cols,  attn_scores,
-  };
-  return t;
-}
-
-const Kernels& fast_table() {
-  static constexpr Kernels t{
-      matmul,       matmul_nt_acc_fast,   matmul_tn_acc_fast,
-      scatter_rows, scalar::scatter_cols, attn_scores,
   };
   return t;
 }

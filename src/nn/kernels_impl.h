@@ -29,9 +29,6 @@ namespace vpr::nn::kern::avx2 {
 
 /// Exact-contract AVX2 table (bitwise identical to scalar for all shapes).
 [[nodiscard]] const Kernels& exact_table();
-/// kFast table: backward accumulators use blocked FMA reductions
-/// (reassociated); the forward/exact entries are shared with exact_table.
-[[nodiscard]] const Kernels& fast_table();
 
 }  // namespace vpr::nn::kern::avx2
 #endif

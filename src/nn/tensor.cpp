@@ -475,15 +475,15 @@ Tensor matmul(const Tensor& ta, const Tensor& tb) {
       if (!o) return;
       if (a->requires_grad) {
         a->ensure_grad();
-        // dA = dC * B^T (kern::bwd: honors KernelMode::kFast reassociation)
-        kern::bwd::matmul_nt_acc(o->grad.data(), b->value.data(),
-                                 a->grad.data(), m, n, k);
+        // dA = dC * B^T
+        kern::matmul_nt_acc(o->grad.data(), b->value.data(), a->grad.data(),
+                            m, n, k);
       }
       if (b->requires_grad) {
         b->ensure_grad();
-        // dB = A^T * dC (kern::bwd: honors KernelMode::kFast reassociation)
-        kern::bwd::matmul_tn_acc(a->value.data(), o->grad.data(),
-                                 b->grad.data(), m, k, n);
+        // dB = A^T * dC
+        kern::matmul_tn_acc(a->value.data(), o->grad.data(), b->grad.data(),
+                            m, k, n);
       }
     };
   }

@@ -21,7 +21,6 @@
 #include "align/recipe_model.h"
 #include "obs/quantile.h"
 #include "obs/trace.h"
-#include "serve/bench.h"
 #include "serve/wire.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -81,6 +80,22 @@ struct ConnStats {
 
 }  // namespace
 
+/// The same spread (normal * 0.5) the decode tests use, with the bias
+/// feature pinned to 1.0 like real extracted insight vectors.
+std::vector<std::vector<double>> bench_suite_insights(int insight_dim) {
+  std::vector<std::vector<double>> insights;
+  insights.reserve(kBenchSuiteDesigns);
+  for (int design = 1; design <= kBenchSuiteDesigns; ++design) {
+    util::Rng rng{util::hash_combine(0x5e27eb43ULL,
+                                     static_cast<std::uint64_t>(design))};
+    std::vector<double> iv(static_cast<std::size_t>(insight_dim));
+    for (double& v : iv) v = rng.normal() * 0.5;
+    iv.back() = 1.0;
+    insights.push_back(std::move(iv));
+  }
+  return insights;
+}
+
 util::Json ClientBenchResult::to_json() const {
   util::Json j = util::Json::object();
   j["sent"] = static_cast<double>(sent);
@@ -109,8 +124,7 @@ util::Json ClientBenchResult::to_json() const {
   return j;
 }
 
-int run_client_bench(const ClientBenchOptions& opts,
-                     ClientBenchResult* out) {
+int run_client_bench(const ClientBenchOptions& opts) {
   if (opts.port <= 0 || opts.connections < 1 || opts.window < 1 ||
       opts.requests < 1 || opts.beam_width < 1) {
     VPR_LOG(Error) << "serve-bench --connect: invalid options";
@@ -329,13 +343,10 @@ int run_client_bench(const ClientBenchOptions& opts,
     j.write(os);
     os << '\n';
   }
-  if (!opts.quiet) {
-    const std::string report = j.dump() + "\n";
-    std::fputs(report.c_str(), stdout);
-    std::fflush(stdout);
-  }
+  const std::string report = j.dump() + "\n";
+  std::fputs(report.c_str(), stdout);
+  std::fflush(stdout);
 
-  if (out != nullptr) *out = result;
   if (!result.bitwise_match) {
     VPR_LOG(Error) << "serve-bench --connect: responses are not bitwise "
                       "identical to the local beam_search oracle";

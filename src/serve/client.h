@@ -15,11 +15,22 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "serve/router.h"
 #include "util/json.h"
 
 namespace vpr::serve {
+
+/// Number of benchmark-suite designs the load generator replays over.
+inline constexpr int kBenchSuiteDesigns = 17;
+
+/// One synthetic insight vector per suite design (seeded per design, bias
+/// feature pinned to 1.0) — shared by the load generator and the serve
+/// tests so both replay identical traffic and verify against the same
+/// local beam_search oracle.
+[[nodiscard]] std::vector<std::vector<double>> bench_suite_insights(
+    int insight_dim);
 
 struct ClientBenchOptions {
   std::string host = "127.0.0.1";
@@ -39,9 +50,6 @@ struct ClientBenchOptions {
   bool verify = true;
   /// Optional JSON report path ("" = don't write).
   std::string json_path;
-  /// Suppress the stdout report (embedding callers — the rollback sweep in
-  /// serve-bench — read the ClientBenchResult instead).
-  bool quiet = false;
 };
 
 struct ClientBenchResult {
@@ -83,7 +91,6 @@ struct ClientBenchResult {
 /// Runs the load generator (prints the JSON report to stdout, optionally
 /// writes it to opts.json_path). Returns 0 on success, 1 on a bitwise
 /// mismatch or when no request succeeded.
-[[nodiscard]] int run_client_bench(const ClientBenchOptions& opts,
-                                   ClientBenchResult* out = nullptr);
+[[nodiscard]] int run_client_bench(const ClientBenchOptions& opts);
 
 }  // namespace vpr::serve

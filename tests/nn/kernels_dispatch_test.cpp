@@ -1,7 +1,6 @@
 // Scalar-vs-AVX2 dispatch tests: the exact-contract kernels must be
 // BITWISE identical across ISAs on a shape grid hitting every
-// tile-remainder branch; the kFast backward variants are reassociated and
-// only tolerance-checked. All AVX2 cases GTEST_SKIP on hosts/builds
+// tile-remainder branch. All AVX2 cases GTEST_SKIP on hosts/builds
 // without the table.
 
 #include <gtest/gtest.h>
@@ -18,20 +17,16 @@
 namespace vpr::nn::kern {
 namespace {
 
-/// RAII: force an ISA/mode for one test, restore the previous on exit.
+/// RAII: force an ISA for one test, restore the previous on exit.
 class DispatchGuard {
  public:
-  DispatchGuard() : isa_(active_isa()), mode_(mode()) {}
-  ~DispatchGuard() {
-    force_isa(isa_);
-    set_mode(mode_);
-  }
+  DispatchGuard() : isa_(active_isa()) {}
+  ~DispatchGuard() { force_isa(isa_); }
   DispatchGuard(const DispatchGuard&) = delete;
   DispatchGuard& operator=(const DispatchGuard&) = delete;
 
  private:
   Isa isa_;
-  KernelMode mode_;
 };
 
 std::vector<double> random_vec(std::size_t n, util::Rng& rng) {
@@ -218,61 +213,6 @@ TEST(KernelsDispatch, ScatterRowsAndColsBitwiseAcrossIsas) {
       }
     }
   }
-}
-
-TEST(KernelsDispatch, FastModeBackwardWithinTolerance) {
-  if (!avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
-  DispatchGuard guard;
-  ASSERT_TRUE(force_isa(Isa::kAvx2));
-  util::Rng rng{82};
-  for (int m : {1, 17, 33}) {
-    for (int n : {1, 15, 48}) {
-      for (int k : {1, 31, 64}) {
-        const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
-        const auto bt = random_vec(static_cast<std::size_t>(n) * k, rng);
-        const auto b = random_vec(static_cast<std::size_t>(m) * n, rng);
-        auto nt_exact = random_vec(static_cast<std::size_t>(m) * n, rng);
-        auto nt_fast = nt_exact;
-        auto tn_exact = random_vec(static_cast<std::size_t>(k) * n, rng);
-        auto tn_fast = tn_exact;
-        set_mode(KernelMode::kExact);
-        bwd::matmul_nt_acc(a.data(), bt.data(), nt_exact.data(), m, k, n);
-        bwd::matmul_tn_acc(a.data(), b.data(), tn_exact.data(), m, k, n);
-        set_mode(KernelMode::kFast);
-        bwd::matmul_nt_acc(a.data(), bt.data(), nt_fast.data(), m, k, n);
-        bwd::matmul_tn_acc(a.data(), b.data(), tn_fast.data(), m, k, n);
-        for (std::size_t i = 0; i < nt_exact.size(); ++i) {
-          EXPECT_NEAR(nt_fast[i], nt_exact[i],
-                      1e-12 * (1.0 + std::abs(nt_exact[i])))
-              << "nt m=" << m << " k=" << k << " n=" << n << " i=" << i;
-        }
-        for (std::size_t i = 0; i < tn_exact.size(); ++i) {
-          EXPECT_NEAR(tn_fast[i], tn_exact[i],
-                      1e-12 * (1.0 + std::abs(tn_exact[i])))
-              << "tn m=" << m << " k=" << k << " n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsDispatch, FastModeDoesNotTouchInferenceTable) {
-  // set_mode(kFast) must swap only the backward table: the forward matmul
-  // stays exact (bitwise equal to scalar) while fast mode is on.
-  if (!avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
-  DispatchGuard guard;
-  util::Rng rng{83};
-  const int m = 17, k = 33, n = 31;
-  const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
-  const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
-  std::vector<double> want(static_cast<std::size_t>(m) * n);
-  std::vector<double> got(want.size());
-  ASSERT_TRUE(force_isa(Isa::kScalar));
-  matmul(a.data(), b.data(), want.data(), m, k, n);
-  ASSERT_TRUE(force_isa(Isa::kAvx2));
-  set_mode(KernelMode::kFast);
-  matmul(a.data(), b.data(), got.data(), m, k, n);
-  EXPECT_TRUE(bitwise_equal(want, got));
 }
 
 TEST(KernelsDispatch, BeamSearchBitwiseAcrossIsas) {

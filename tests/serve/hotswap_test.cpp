@@ -8,6 +8,10 @@
 //     oracle of the version it reports, no request is lost, and the
 //     batcher adopts the newest version once traffic drains.
 //
+// A third case drives the service -> registry feedback path under live
+// traffic: a poisoned publish must be rolled back by the registry's
+// burn-rate engine exactly once, fed only by the service's completions.
+//
 // The stress test scales with INSIGHTALIGN_HOTSWAP_CHURN (an integer
 // multiplier, default 1) so the CI tsan-hotswap leg can run the same
 // binary with far more churn than the tier-1 gate pays for.
@@ -28,6 +32,7 @@
 
 #include "align/beam.h"
 #include "align/recipe_model.h"
+#include "serve/client.h"
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "util/rng.h"
@@ -37,9 +42,8 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Version v's weights as a pure function of v — the same derivation the
-/// serve bench uses, so any process can reconstruct the oracle for a
-/// version without holding the published object.
+/// Version v's weights as a pure function of v, so the oracle for a
+/// version can be rebuilt without holding the published object.
 std::vector<double> version_state(std::uint64_t v) {
   util::Rng rng{util::hash_combine(0xa11c3a7ULL, v)};
   align::RecipeModel model{align::ModelConfig{}, rng};
@@ -49,19 +53,6 @@ std::vector<double> version_state(std::uint64_t v) {
 align::RecipeModel version_model(std::uint64_t v) {
   util::Rng rng{util::hash_combine(0xa11c3a7ULL, v)};
   return align::RecipeModel{align::ModelConfig{}, rng};
-}
-
-std::vector<std::vector<double>> suite_insights(int dim) {
-  std::vector<std::vector<double>> out;
-  for (int design = 1; design <= 17; ++design) {
-    util::Rng rng{util::hash_combine(0x5e27eb43ULL,
-                                     static_cast<std::uint64_t>(design))};
-    std::vector<double> iv(static_cast<std::size_t>(dim));
-    for (double& v : iv) v = rng.normal() * 0.5;
-    iv.back() = 1.0;
-    out.push_back(std::move(iv));
-  }
-  return out;
 }
 
 int churn_multiplier() {
@@ -78,7 +69,7 @@ void expect_bitwise(const Response& response,
   for (std::size_t r = 0; r < oracle.size(); ++r) {
     EXPECT_EQ(response.candidates[r].recipes, oracle[r].recipes)
         << what << " rank " << r;
-    EXPECT_DOUBLE_EQ(response.candidates[r].log_prob, oracle[r].log_prob)
+    EXPECT_EQ(response.candidates[r].log_prob, oracle[r].log_prob)
         << what << " rank " << r;
   }
 }
@@ -95,7 +86,7 @@ TEST(HotswapTest, VersionPinning) {
   auto registry = std::make_shared<ModelRegistry>(align::ModelConfig{});
   registry->publish(version_state(1), "v1");
   const auto insights =
-      suite_insights(registry->model_config().insight_dim);
+      bench_suite_insights(registry->model_config().insight_dim);
   constexpr int kWidth = 4;
 
   RecommendService service{registry, ServiceConfig{}};
@@ -142,7 +133,7 @@ TEST(HotswapTest, MixedVersionTicksDecodeEachRequestOnItsPinnedModel) {
   auto registry = std::make_shared<ModelRegistry>(align::ModelConfig{});
   registry->publish(version_state(1), "v1");
   const auto insights =
-      suite_insights(registry->model_config().insight_dim);
+      bench_suite_insights(registry->model_config().insight_dim);
   constexpr int kWidth = 4;
 
   RecommendService service{registry, ServiceConfig{}};
@@ -177,7 +168,7 @@ TEST(HotswapTest, QueuedRequestsAdmitOnTheFreshVersion) {
   auto registry = std::make_shared<ModelRegistry>(align::ModelConfig{});
   registry->publish(version_state(1), "v1");
   const auto insights =
-      suite_insights(registry->model_config().insight_dim);
+      bench_suite_insights(registry->model_config().insight_dim);
 
   RecommendService service{registry, ServiceConfig{}};
   service.pause();  // freeze the batcher: submissions stay queued
@@ -207,7 +198,7 @@ TEST(HotswapTest, SwapUnderLoadStress) {
   auto registry = std::make_shared<ModelRegistry>(align::ModelConfig{});
   registry->publish(version_state(1), "seed");
   const auto insights =
-      suite_insights(registry->model_config().insight_dim);
+      bench_suite_insights(registry->model_config().insight_dim);
 
   ServiceConfig config;
   config.max_inflight = 8;
@@ -220,8 +211,8 @@ TEST(HotswapTest, SwapUnderLoadStress) {
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < per_thread; ++i) {
-        const std::size_t insight_index =
-            static_cast<std::size_t>((t * per_thread + i) % 17);
+        const std::size_t insight_index = static_cast<std::size_t>(
+            (t * per_thread + i) % kBenchSuiteDesigns);
         futures[static_cast<std::size_t>(t)].emplace_back(
             insight_index,
             service.submit(insights[insight_index], kWidth));
@@ -287,6 +278,105 @@ TEST(HotswapTest, SwapUnderLoadStress) {
   // A/B accounting saw every served version.
   const auto j = registry->to_json();
   EXPECT_GE(j.as_object().at("ab").as_array().size(), 1u);
+}
+
+TEST(HotswapTest, PoisonedPublishRollsBackExactlyOnce) {
+  // Warm a good version past the rollback baseline floor, then publish a
+  // deliberately degraded version (all-zero weights: every step decodes
+  // the uniform distribution, so its top log pi is below any seeded
+  // model's best path) and replay the same traffic. The registry only
+  // hears about quality through the service's completions, so the
+  // burn-rate engine must quarantine the bad version and swap back to the
+  // good one exactly once — while every response, including the ones that
+  // finished pinned to the bad version, stays bitwise faithful to
+  // beam_search on the version that served it.
+  constexpr int kWidth = 5;
+  constexpr int kRequests = 2 * kBenchSuiteDesigns;
+
+  RegistryConfig registry_config;
+  registry_config.rollback.enabled = true;
+  registry_config.rollback.min_requests = 16;
+  registry_config.rollback.quality_drop = 0.01;
+  // Windows far wider than the run: the verdict must rest on event
+  // counts, not on how fast an instrumented build drains the traffic.
+  registry_config.rollback.slo.fast_window = std::chrono::minutes(10);
+  registry_config.rollback.slo.slow_window = std::chrono::minutes(20);
+  auto registry = std::make_shared<ModelRegistry>(align::ModelConfig{},
+                                                  registry_config);
+  util::Rng rng{7};
+  const align::RecipeModel seeded{align::ModelConfig{}, rng};
+  const std::uint64_t good = registry->publish(seeded.state(), "good");
+  const auto insights =
+      bench_suite_insights(registry->model_config().insight_dim);
+
+  ServiceConfig config;
+  config.max_inflight = 12;
+  config.max_beam_width = kWidth;
+  config.queue_capacity = 2 * kRequests;
+  RecommendService service{registry, config};
+
+  // Test-side pins keep both versions alive for the lazy oracle.
+  std::map<std::uint64_t, std::shared_ptr<const ModelVersion>> pinned{
+      {good, registry->version(good)}};
+  std::map<std::pair<std::uint64_t, std::size_t>,
+           std::vector<align::BeamCandidate>>
+      oracles;
+  // Replays one round of traffic; returns how many kOk responses each
+  // version served.
+  const auto run_phase = [&] {
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(
+          service.submit(insights[i % kBenchSuiteDesigns], kWidth));
+    }
+    std::map<std::uint64_t, int> served;
+    for (int i = 0; i < kRequests; ++i) {
+      const Response response = futures[static_cast<std::size_t>(i)].get();
+      EXPECT_EQ(response.status, Status::kOk);
+      if (response.status != Status::kOk) continue;
+      const auto version = pinned.find(response.model_version);
+      EXPECT_NE(version, pinned.end())
+          << "served on unknown version " << response.model_version;
+      if (version == pinned.end()) continue;
+      ++served[response.model_version];
+      const auto key = std::make_pair(
+          response.model_version,
+          static_cast<std::size_t>(i % kBenchSuiteDesigns));
+      auto it = oracles.find(key);
+      if (it == oracles.end()) {
+        it = oracles
+                 .emplace(key, align::beam_search(version->second->model(),
+                                                  insights[key.second],
+                                                  kWidth))
+                 .first;
+      }
+      expect_bitwise(response, it->second, "rollback-phase response");
+    }
+    return served;
+  };
+
+  EXPECT_EQ(run_phase()[good], kRequests);  // good's baseline traffic
+  EXPECT_EQ(registry->rollbacks(), 0u);
+
+  const std::vector<double> poisoned(registry->expected_params(), 0.0);
+  const std::uint64_t bad = registry->publish(poisoned, "poisoned");
+  pinned.emplace(bad, registry->version(bad));
+  const auto served = run_phase();
+
+  EXPECT_EQ(registry->rollbacks(), 1u);
+  EXPECT_EQ(registry->current_version(), good);
+  EXPECT_EQ(registry->quarantined(), std::vector<std::uint64_t>{bad});
+  // Admissions stay on the bad version until its completions carry the
+  // breach, so at least one window's worth of them decoded on it.
+  const auto on_bad = served.find(bad);
+  ASSERT_NE(on_bad, served.end());
+  EXPECT_GE(static_cast<std::uint64_t>(on_bad->second),
+            registry_config.rollback.slo.min_events);
+
+  // The downgrade is adopted at the next batch boundary.
+  const Response after = service.recommend(insights[0], kWidth);
+  ASSERT_EQ(after.status, Status::kOk);
+  EXPECT_EQ(after.model_version, good);
 }
 
 }  // namespace

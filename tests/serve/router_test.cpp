@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "align/beam.h"
+#include "serve/client.h"
 #include "serve/router.h"
 #include "util/rng.h"
 
@@ -28,24 +29,11 @@ align::RecipeModel test_model() {
   return align::RecipeModel{align::ModelConfig{}, rng};
 }
 
-std::vector<std::vector<double>> suite_insights(int dim) {
-  std::vector<std::vector<double>> out;
-  for (int design = 1; design <= 17; ++design) {
-    util::Rng rng{util::hash_combine(0x5e27eb43ULL,
-                                     static_cast<std::uint64_t>(design))};
-    std::vector<double> iv(static_cast<std::size_t>(dim));
-    for (double& v : iv) v = rng.normal() * 0.5;
-    iv.back() = 1.0;
-    out.push_back(std::move(iv));
-  }
-  return out;
-}
-
 TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
   // The sharding must not cost correctness: every response from a
   // 2-replica fleet is bitwise equal to a fresh lone beam_search.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   constexpr int kWidth = 4;
 
   RouterConfig config;
@@ -63,8 +51,7 @@ TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
     ASSERT_EQ(response.candidates.size(), expected.size());
     for (std::size_t r = 0; r < expected.size(); ++r) {
       EXPECT_EQ(response.candidates[r].recipes, expected[r].recipes);
-      EXPECT_DOUBLE_EQ(response.candidates[r].log_prob,
-                       expected[r].log_prob);
+      EXPECT_EQ(response.candidates[r].log_prob, expected[r].log_prob);
     }
   }
 
@@ -82,7 +69,7 @@ TEST(Router, PlacementAvoidsBackedUpReplica) {
   // Preload replica 0 while both batchers are frozen: new traffic must
   // land on the shallow replica 1, not round-robin blindly.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   RouterConfig config;
   config.replicas = 2;
@@ -118,7 +105,7 @@ TEST(Router, ShedsByPriorityClassUnderLoad) {
   // interactive only once the queue is entirely full. Shed responses
   // resolve immediately (no batcher involvement) with a retry hint.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   RouterConfig config;
   config.replicas = 1;
@@ -181,7 +168,7 @@ TEST(Router, ShedsRequestsWithoutDeadlineSlack) {
   // of wait (cold-start pessimism); a 10ms-deadline request would expire
   // in the queue and is shed up front, while a generous deadline rides.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   RouterConfig config;
   config.replicas = 1;
@@ -211,7 +198,7 @@ TEST(Router, ShedsRequestsWithoutDeadlineSlack) {
 
 TEST(Router, RebalanceMeasuresDrainRatesAndCounts) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   RouterConfig config;
   config.replicas = 2;
@@ -221,9 +208,9 @@ TEST(Router, RebalanceMeasuresDrainRatesAndCounts) {
 
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(router.submit(insights[static_cast<std::size_t>(i % 17)],
-                                    2, Router::kNoDeadline,
-                                    Priority::kNormal));
+    futures.push_back(router.submit(
+        insights[static_cast<std::size_t>(i % kBenchSuiteDesigns)], 2,
+        Router::kNoDeadline, Priority::kNormal));
   }
   for (auto& f : futures) {
     ASSERT_EQ(f.get().status, Status::kOk);
@@ -240,7 +227,7 @@ TEST(Router, RebalanceMeasuresDrainRatesAndCounts) {
 
 TEST(Router, StopShutsDownAndValidatesInput) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   RouterConfig config;
   config.replicas = 2;
   Router router{model, config};

@@ -30,6 +30,7 @@
 #include "align/beam.h"
 #include "obs/trace.h"
 #include "obs/trace_merge.h"
+#include "serve/client.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "util/json.h"
@@ -43,19 +44,6 @@ using namespace std::chrono_literals;
 align::RecipeModel test_model() {
   util::Rng rng{7};
   return align::RecipeModel{align::ModelConfig{}, rng};
-}
-
-std::vector<std::vector<double>> suite_insights(int dim) {
-  std::vector<std::vector<double>> out;
-  for (int design = 1; design <= 17; ++design) {
-    util::Rng rng{util::hash_combine(0x5e27eb43ULL,
-                                     static_cast<std::uint64_t>(design))};
-    std::vector<double> iv(static_cast<std::size_t>(dim));
-    for (double& v : iv) v = rng.normal() * 0.5;
-    iv.back() = 1.0;
-    out.push_back(std::move(iv));
-  }
-  return out;
 }
 
 int connect_loopback(int port) {
@@ -110,7 +98,7 @@ std::optional<wire::ResponseFrame> recv_response(int fd) {
 
 TEST(Server, PipelinedRoundTripMatchesBeamSearchBitwise) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   constexpr int kWidth = 4;
 
   ServerConfig config;
@@ -156,7 +144,7 @@ TEST(Server, PipelinedRoundTripMatchesBeamSearchBitwise) {
 
 TEST(Server, BadContentsAnswerKBadRequestAndKeepConnection) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   ServerConfig config;
   config.router.replicas = 1;
@@ -227,7 +215,7 @@ TEST(Server, StopDrainsEveryAdmittedResponse) {
   // all produce responses; the client reads every one of them even though
   // the listener and the read sides are already gone.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   constexpr int kRequests = 12;
 
   ServerConfig config;
@@ -235,8 +223,9 @@ TEST(Server, StopDrainsEveryAdmittedResponse) {
   Server server{model, config};
   const int fd = connect_loopback(server.port());
   for (int i = 0; i < kRequests; ++i) {
-    ASSERT_TRUE(send_request(fd, insights[static_cast<std::size_t>(i % 17)],
-                             3, static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(send_request(
+        fd, insights[static_cast<std::size_t>(i % kBenchSuiteDesigns)], 3,
+        static_cast<std::uint64_t>(i)));
   }
   // Wait until every frame has been decoded and submitted, so the drain
   // has a deterministic amount of admitted work to flush.
@@ -267,7 +256,7 @@ TEST(Server, UnknownFrameTypeAnswersBadRequestAndKeepsConnection) {
   // answer is an in-band kBadRequest (tag echoed best-effort from the
   // u64 after the type byte) and the connection keeps serving.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   ServerConfig config;
   config.router.replicas = 1;
   Server server{model, config};
@@ -312,7 +301,7 @@ TEST(Server, InterleavedAdminProbesKeepPipelineOrder) {
   // order with the right frame types — probes are answered off the
   // decode queue but must never jump the per-connection pipeline.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   ServerConfig config;
   config.router.replicas = 2;
   Server server{model, config};
@@ -363,7 +352,7 @@ TEST(Server, DribbledBytesReassembleAcrossPartialReads) {
   // pauses between them: the server's blocking frame reader must
   // reassemble both and answer in order.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   ServerConfig config;
   config.router.replicas = 1;
   Server server{model, config};
@@ -410,7 +399,7 @@ TEST(Server, ClientTraceIdSpansProcessesAfterMerge) {
   recorder.clear();
 
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   ServerConfig config;
   config.router.replicas = 1;
   Server server{model, config};

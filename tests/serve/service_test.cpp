@@ -18,6 +18,7 @@
 #include "obs/quantile.h"
 #include "obs/trace.h"
 #include "serve/arena.h"
+#include "serve/client.h"
 #include "serve/service.h"
 #include "util/rng.h"
 
@@ -31,22 +32,6 @@ align::RecipeModel test_model() {
   return align::RecipeModel{align::ModelConfig{}, rng};
 }
 
-// The 17 benchmark-suite insights the serve bench replays; same derivation
-// as src/serve/bench.cpp so the equivalence coverage matches the
-// acceptance criterion's "all suite designs".
-std::vector<std::vector<double>> suite_insights(int dim) {
-  std::vector<std::vector<double>> out;
-  for (int design = 1; design <= 17; ++design) {
-    util::Rng rng{util::hash_combine(0x5e27eb43ULL,
-                                     static_cast<std::uint64_t>(design))};
-    std::vector<double> iv(static_cast<std::size_t>(dim));
-    for (double& v : iv) v = rng.normal() * 0.5;
-    iv.back() = 1.0;
-    out.push_back(std::move(iv));
-  }
-  return out;
-}
-
 TEST(RecommendService, BatchedMatchesPerRequestBeamSearchAllSuiteDesigns) {
   // The PR's acceptance bar: every batched response — decoded concurrently
   // with up to 7 other requests sharing each forward — is bitwise equal to
@@ -54,7 +39,7 @@ TEST(RecommendService, BatchedMatchesPerRequestBeamSearchAllSuiteDesigns) {
   // 17 suite designs. One design is also checked against the tape-driven
   // reference oracle, closing the chain batched == serial == tape.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   constexpr int kWidth = 4;
 
   ServiceConfig config;
@@ -74,7 +59,7 @@ TEST(RecommendService, BatchedMatchesPerRequestBeamSearchAllSuiteDesigns) {
     for (std::size_t r = 0; r < expected.size(); ++r) {
       EXPECT_EQ(response.candidates[r].recipes, expected[r].recipes)
           << "design " << i + 1 << " rank " << r;
-      EXPECT_DOUBLE_EQ(response.candidates[r].log_prob, expected[r].log_prob)
+      EXPECT_EQ(response.candidates[r].log_prob, expected[r].log_prob)
           << "design " << i + 1 << " rank " << r;
     }
     EXPECT_GE(response.total_ms, response.queue_ms);
@@ -86,7 +71,7 @@ TEST(RecommendService, BatchedMatchesPerRequestBeamSearchAllSuiteDesigns) {
   ASSERT_EQ(again.candidates.size(), oracle.size());
   for (std::size_t r = 0; r < oracle.size(); ++r) {
     EXPECT_EQ(again.candidates[r].recipes, oracle[r].recipes);
-    EXPECT_DOUBLE_EQ(again.candidates[r].log_prob, oracle[r].log_prob);
+    EXPECT_EQ(again.candidates[r].log_prob, oracle[r].log_prob);
   }
 
   const ServiceCounters counters = service.counters();
@@ -99,7 +84,7 @@ TEST(RecommendService, BatchedMatchesPerRequestBeamSearchAllSuiteDesigns) {
 
 TEST(RecommendService, RejectsWhenAdmissionQueueIsFull) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   ServiceConfig config;
   config.max_inflight = 1;
@@ -129,7 +114,7 @@ TEST(RecommendService, RejectsWhenAdmissionQueueIsFull) {
 
 TEST(RecommendService, DeadlineExpiresToTimedOut) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   RecommendService service{model, ServiceConfig{}};
   service.pause();
@@ -146,7 +131,7 @@ TEST(RecommendService, DeadlineExpiresToTimedOut) {
 
 TEST(RecommendService, StopDrainsAndShutsDownFurtherSubmissions) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   RecommendService service{model, ServiceConfig{}};
   std::vector<std::future<Response>> futures;
@@ -169,7 +154,7 @@ TEST(RecommendService, RejectsMalformedRequests) {
   RecommendService service{model, ServiceConfig{}};
   EXPECT_THROW((void)service.submit(std::vector<double>(3, 0.0), 2),
                std::invalid_argument);
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   EXPECT_THROW((void)service.submit(insights[0], 0), std::invalid_argument);
   EXPECT_THROW(
       (void)service.submit(insights[0], service.config().max_beam_width + 1),
@@ -183,7 +168,7 @@ TEST(RecommendService, RejectsMalformedRequests) {
 
 TEST(RecommendService, ArenaRecyclesSessionsAcrossRequests) {
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   ServiceConfig config;
   config.max_inflight = 2;
@@ -213,7 +198,7 @@ TEST(RecommendService, TraceIdConnectsAdmissionBatchAndFinish) {
   recorder.set_enabled(true);
 
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   Response first;
   Response second;
   {
@@ -261,7 +246,7 @@ TEST(RecommendService, CountersArePerInstance) {
   // serve.* registry series. (The router's per-replica occupancy report
   // depends on this: replicas live side by side in one process.)
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   RecommendService a{model, {}};
   ASSERT_EQ(a.recommend(insights[0], 2).status, Status::kOk);
   ASSERT_EQ(a.recommend(insights[1], 2).status, Status::kOk);
@@ -284,7 +269,7 @@ TEST(RecommendService, CounterPercentilesComeFromTheLatencySketch) {
   // counters() quotes its percentiles from the same full-history sketch
   // the router merges for fleet tails, so the two can never disagree.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
   RecommendService service{model, {}};
   for (const auto& insight : insights) {
     ASSERT_EQ(service.recommend(insight, 2).status, Status::kOk);
@@ -309,7 +294,7 @@ TEST(RecommendService, ShutdownRaceNeverMisreportsRejection) {
   // submission must be kShutdown and the rejected counter must stay 0.
   // Run under TSan to check the tri-state push's locking too.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   for (int round = 0; round < 8; ++round) {
     ServiceConfig config;
@@ -325,7 +310,9 @@ TEST(RecommendService, ShutdownRaceNeverMisreportsRejection) {
       submitters.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
           futures[static_cast<std::size_t>(t)].push_back(
-              service.submit(insights[static_cast<std::size_t>(i % 17)], 2));
+              service.submit(insights[static_cast<std::size_t>(
+                                 i % kBenchSuiteDesigns)],
+                             2));
         }
       });
     }
@@ -359,7 +346,7 @@ TEST(RecommendService, ArenaExhaustionRejectsAtAdmission) {
   // overflow must resolve as kRejected (admission backpressure), never
   // deadlock or crash, and the arena must still recycle for later work.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   ServiceConfig config;
   config.max_inflight = 4;
@@ -395,7 +382,7 @@ TEST(RecommendService, SubmittedCountsOnlyAcceptedRequests) {
   // and shutdown-refused submissions must not inflate it, so
   // completed + timed_out can never exceed submitted.
   const auto model = test_model();
-  const auto insights = suite_insights(model.config().insight_dim);
+  const auto insights = bench_suite_insights(model.config().insight_dim);
 
   ServiceConfig config;
   config.max_inflight = 1;
