@@ -127,13 +127,16 @@ std::vector<BeamCandidate> beam_search(const RecipeModel& model,
   check_width(model.config().num_recipes, beam_width);
   DecodeSession session = model.decode(insight, 2 * beam_width);
   BeamDecoder decoder{session, beam_width};
+  std::vector<BatchStep> steps;
   std::vector<double> probs;
   while (!decoder.done()) {
-    const auto refs = decoder.pending();
-    probs.resize(refs.size());
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      probs[i] = session.step(refs[i].lane, refs[i].prev_decision);
+    // Every live beam entry advances in one stacked forward.
+    steps.clear();
+    for (const BeamDecoder::StepRef& ref : decoder.pending()) {
+      steps.push_back({&session, ref.lane, ref.prev_decision});
     }
+    probs.resize(steps.size());
+    DecodeSession::step_batch(steps, probs.data());
     decoder.apply(probs);
   }
   return decoder.result();
@@ -158,7 +161,7 @@ std::vector<BeamCandidate> beam_search_reference(
         prefix[static_cast<std::size_t>(b)] =
             static_cast<int>((refs[i].prefix_mask >> b) & 1U);
       }
-      // Full tape forward over the prefix (the seed next_prob path).
+      // Full tape forward over the prefix.
       const nn::Tensor logits = model.forward_logits(insight, prefix, t + 1);
       probs[i] = nn::infer::stable_sigmoid(logits.at(t, 0));
     }

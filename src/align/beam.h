@@ -21,10 +21,11 @@ struct BeamCandidate {
 /// Incremental beam-search state machine: one decode position per
 /// pending()/apply() round. Splitting the per-step probability queries from
 /// the expand/select logic lets a caller choose how the probabilities are
-/// produced — serially (beam_search), from the tape (beam_search_reference),
-/// or stacked across many concurrent requests into one batched forward
-/// (serve::RecommendService). All drivers share this expansion code, so
-/// candidates and scores are bitwise identical across them.
+/// produced — one request's lanes stacked into one step_batch
+/// (beam_search), from the tape (beam_search_reference), or stacked across
+/// many concurrent requests into one step_batch (serve::RecommendService).
+/// All drivers share this expansion code, so candidates and scores are
+/// bitwise identical across them.
 class BeamDecoder {
  public:
   /// A probability query for one beam entry at the current position:
@@ -82,9 +83,10 @@ class BeamDecoder {
 
 /// Top-K recipe sets under the model's policy for the given insight,
 /// ordered by descending cumulative log probability. Runs on a KV-cached
-/// DecodeSession (one lane per beam entry), so each expansion costs
-/// O(prefix) instead of a full O(prefix^2) forward; candidates and scores
-/// are bitwise identical to beam_search_reference.
+/// DecodeSession (one lane per beam entry, all live entries advanced by one
+/// step_batch per position), so each expansion costs O(prefix) instead of
+/// a full O(prefix^2) forward; candidates and scores are bitwise identical
+/// to beam_search_reference.
 [[nodiscard]] std::vector<BeamCandidate> beam_search(
     const RecipeModel& model, std::span<const double> insight, int beam_width);
 

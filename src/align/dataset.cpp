@@ -106,8 +106,7 @@ OfflineDataset OfflineDataset::build(
         design, sets,
         [&](std::size_t i, const flow::Qor& q) {
           data.points[i] = {sets[i], q.power, q.tns, 0.0};
-        },
-        config.threads);
+        });
 
     // Expert-tuned archive entries: a greedy bit-flip refinement from the
     // best random point, standing in for the paper's "known-good manually

@@ -66,7 +66,6 @@ struct DatasetConfig {
   int max_recipes = 12;
   std::uint64_t seed = 0xda7aULL;
   QorWeights weights;
-  unsigned threads = 0;  // 0 => hardware concurrency
 };
 
 class OfflineDataset {

@@ -114,8 +114,7 @@ DesignData Pipeline::bootstrap_design(const flow::Design& design) const {
       design, sets,
       [&](std::size_t i, const flow::Qor& q) {
         data.points[i] = {sets[i], q.power, q.tns, 0.0};
-      },
-      config_.dataset.threads);
+      });
   data.finalize(config_.dataset.weights);
   return data;
 }

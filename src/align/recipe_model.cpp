@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "nn/infer.h"
@@ -93,31 +94,76 @@ nn::Tensor RecipeModel::sequence_log_prob(
   return nn::sum(nn::logsigmoid(signed_logits));
 }
 
+void RecipeModel::encode_insight(std::span<const double> insight,
+                                 double* cross_k, double* cross_v) const {
+  const std::size_t d = static_cast<std::size_t>(config_.d_model);
+  thread_local std::vector<double> memory;
+  memory.resize(d);
+  insight_embed_.infer(insight.data(), 1, memory.data());
+  for (std::size_t l = 0; l < decoder_stack_.size(); ++l) {
+    decoder_stack_[l]->infer_cross_kv(memory.data(), 1, cross_k + l * d,
+                                      cross_v + l * d);
+  }
+}
+
+void RecipeModel::forward_rows(int rows, const int* tokens, const int* pos,
+                               const nn::RowCache* caches, int kt_ld,
+                               double* logits) const {
+  const int d = config_.d_model;
+  const std::size_t size = static_cast<std::size_t>(rows) * d;
+  thread_local std::vector<double> x;
+  thread_local std::vector<double> y;
+  x.resize(size);
+  y.resize(size);
+  // Stack the input rows: token embedding + positional encoding.
+  for (int i = 0; i < rows; ++i) {
+    double* row = x.data() + static_cast<std::size_t>(i) * d;
+    token_embed_.infer_row(tokens[i], row);
+    pos_enc_.infer_add_row(pos[i], row);
+  }
+  for (const auto& layer : decoder_stack_) {
+    layer->infer_step_batch(x.data(), rows, pos, caches, kt_ld, 1, y.data());
+    x.swap(y);
+    caches += rows;
+  }
+  head_.infer(x.data(), rows, logits);
+}
+
 void RecipeModel::infer_logits(std::span<const double> insight,
-                               std::span<const int> decisions, int steps,
+                               std::span<const int> decisions,
                                double* logits_out) const {
-  if (steps < 0) steps = config_.num_recipes;
-  const std::vector<int> tokens = input_tokens(decisions, steps);
+  const int n = config_.num_recipes;
+  const std::vector<int> tokens = input_tokens(decisions, n);
   if (insight.size() != static_cast<std::size_t>(config_.insight_dim)) {
     throw std::invalid_argument("RecipeModel: insight dimension mismatch");
   }
-  const int d = config_.d_model;
-  thread_local std::vector<double> h;
-  thread_local std::vector<double> memory;
-  h.resize(static_cast<std::size_t>(steps) * d);
-  memory.resize(static_cast<std::size_t>(d));
-  for (int t = 0; t < steps; ++t) {
-    double* row = h.data() + static_cast<std::size_t>(t) * d;
-    token_embed_.infer_row(tokens[static_cast<std::size_t>(t)], row);
-    pos_enc_.infer_add_row(t, row);
+  // Prefill: positions 0..n-1 of one lane as one batch, every row on the
+  // same per-layer K/V cache. infer_step_batch writes all rows' K/V before
+  // any row attends, and row t attends over positions 0..t only, so this
+  // is exactly the causal full-sequence forward.
+  const std::size_t d = static_cast<std::size_t>(config_.d_model);
+  const std::size_t lane = static_cast<std::size_t>(n) * d;
+  const std::size_t layers = decoder_stack_.size();
+  thread_local std::vector<double> cross_k;
+  thread_local std::vector<double> cross_v;
+  thread_local std::vector<double> self_kt;
+  thread_local std::vector<double> self_v;
+  thread_local std::vector<nn::RowCache> caches;
+  thread_local std::vector<int> pos;
+  cross_k.resize(layers * d);
+  cross_v.resize(layers * d);
+  self_kt.resize(layers * lane);
+  self_v.resize(layers * lane);
+  caches.clear();
+  for (std::size_t l = 0; l < layers; ++l) {
+    caches.insert(caches.end(), static_cast<std::size_t>(n),
+                  {self_kt.data() + l * lane, self_v.data() + l * lane,
+                   cross_k.data() + l * d, cross_v.data() + l * d});
   }
-  insight_embed_.infer(insight.data(), 1, memory.data());
-  for (const auto& layer : decoder_stack_) {
-    // TransformerDecoderLayer::infer finishes reading its input before the
-    // final output write, so running in place is safe.
-    layer->infer(h.data(), steps, memory.data(), 1, h.data());
-  }
-  head_.infer(h.data(), steps, logits_out);
+  pos.resize(static_cast<std::size_t>(n));
+  std::iota(pos.begin(), pos.end(), 0);
+  encode_insight(insight, cross_k.data(), cross_v.data());
+  forward_rows(n, tokens.data(), pos.data(), caches.data(), n, logits_out);
 }
 
 double RecipeModel::log_prob(std::span<const double> insight,
@@ -127,40 +173,24 @@ double RecipeModel::log_prob(std::span<const double> insight,
     throw std::invalid_argument("RecipeModel: need all 40 decisions");
   }
   std::vector<double> logits(static_cast<std::size_t>(n));
-  infer_logits(insight, decisions, n, logits.data());
+  infer_logits(insight, decisions, logits.data());
   // Same arithmetic order as sequence_log_prob: sign the logit, take the
   // stable logsigmoid, sum ascending over positions.
   double acc = 0.0;
   for (int t = 0; t < n; ++t) {
-    const double sign = decisions[static_cast<std::size_t>(t)] == 1 ? 1.0 : -1.0;
+    const double sign =
+        decisions[static_cast<std::size_t>(t)] == 1 ? 1.0 : -1.0;
     acc += nn::infer::logsigmoid_value(logits[static_cast<std::size_t>(t)] *
                                        sign);
   }
   return acc;
 }
 
-double RecipeModel::next_prob(std::span<const double> insight,
-                              std::span<const int> prefix) const {
-  const int t = static_cast<int>(prefix.size());
-  if (t >= config_.num_recipes) {
-    throw std::invalid_argument("RecipeModel: prefix already complete");
-  }
-  // One-shot decode session: replays the prefix through the KV cache and
-  // returns the final step's probability. Callers that query successive
-  // prefixes should hold their own DecodeSession instead.
-  DecodeSession session = decode(insight, 1);
-  double p = 0.0;
-  for (int i = 0; i <= t; ++i) {
-    p = session.step(0, i == 0 ? 0 : prefix[static_cast<std::size_t>(i - 1)]);
-  }
-  return p;
-}
-
 std::vector<double> RecipeModel::step_probs(
     std::span<const double> insight, std::span<const int> decisions) const {
   const int n = config_.num_recipes;
   std::vector<double> probs(static_cast<std::size_t>(n));
-  infer_logits(insight, decisions, n, probs.data());
+  infer_logits(insight, decisions, probs.data());
   for (double& p : probs) p = nn::infer::stable_sigmoid(p);
   return probs;
 }
@@ -186,15 +216,12 @@ DecodeSession::DecodeSession(const RecipeModel& model,
     throw std::invalid_argument("DecodeSession: insight dimension mismatch");
   }
   const std::size_t d = static_cast<std::size_t>(d_);
-  memory_.resize(d);
   cross_k_.resize(static_cast<std::size_t>(layers_) * d);
   cross_v_.resize(static_cast<std::size_t>(layers_) * d);
   const std::size_t lane_cache = static_cast<std::size_t>(n_) * d;
   self_k_.resize(static_cast<std::size_t>(layers_) * max_lanes_ * lane_cache);
   self_v_.resize(self_k_.size());
   len_.assign(static_cast<std::size_t>(max_lanes_), 0);
-  x_row_.resize(d);
-  y_row_.resize(d);
   rebind(insight);
 }
 
@@ -203,13 +230,7 @@ void DecodeSession::rebind(std::span<const double> insight) {
       static_cast<std::size_t>(model_->config().insight_dim)) {
     throw std::invalid_argument("DecodeSession: insight dimension mismatch");
   }
-  const std::size_t d = static_cast<std::size_t>(d_);
-  model_->insight_embed_.infer(insight.data(), 1, memory_.data());
-  for (int l = 0; l < layers_; ++l) {
-    model_->decoder_stack_[static_cast<std::size_t>(l)]->infer_cross_kv(
-        memory_.data(), 1, cross_k_.data() + static_cast<std::size_t>(l) * d,
-        cross_v_.data() + static_cast<std::size_t>(l) * d);
-  }
+  model_->encode_insight(insight, cross_k_.data(), cross_v_.data());
   std::fill(len_.begin(), len_.end(), 0);
 }
 
@@ -287,30 +308,18 @@ int DecodeSession::step_token(int lane, int prev_decision) const {
 }
 
 double DecodeSession::step(int lane, int prev_decision) {
-  const int token = step_token(lane, prev_decision);
-  const int t = len_[static_cast<std::size_t>(lane)];
-  model_->token_embed_.infer_row(token, x_row_.data());
-  model_->pos_enc_.infer_add_row(t, x_row_.data());
-  const std::size_t d = static_cast<std::size_t>(d_);
-  for (int l = 0; l < layers_; ++l) {
-    model_->decoder_stack_[static_cast<std::size_t>(l)]->infer_step(
-        x_row_.data(), t, self_kt(l, lane), n_, self_v(l, lane),
-        cross_k_.data() + static_cast<std::size_t>(l) * d,
-        cross_v_.data() + static_cast<std::size_t>(l) * d, 1, y_row_.data());
-    std::swap(x_row_, y_row_);
-  }
-  double z = 0.0;
-  model_->head_.infer(x_row_.data(), 1, &z);
-  len_[static_cast<std::size_t>(lane)] = t + 1;
-  return nn::infer::stable_sigmoid(z);
+  const BatchStep one{this, lane, prev_decision};
+  double p = 0.0;
+  step_batch({&one, 1}, &p);
+  return p;
 }
 
 void DecodeSession::step_batch(std::span<const BatchStep> steps,
                                double* probs_out) {
   const int rows = static_cast<int>(steps.size());
   if (rows == 0) return;
-  VPR_TRACE_SPAN("decode.step_batch", "nn",
-                 obs::TraceArgs{{"rows", rows}});
+  obs::TraceSpan span{"decode.step_batch", "nn"};
+  span.arg("rows", rows);
   static obs::Counter& step_rows_counter =
       obs::MetricsRegistry::instance().counter(
           "decode.step_rows", "lane-steps executed via step_batch");
@@ -322,60 +331,34 @@ void DecodeSession::step_batch(std::span<const BatchStep> steps,
           "DecodeSession::step_batch: sessions must share one model");
     }
   }
-  DecodeSession& lead = *steps[0].session;
-  const int d = lead.d_;
-  const int layers = lead.layers_;
-  const std::size_t size = static_cast<std::size_t>(rows) * d;
-
-  thread_local std::vector<double> x;
-  thread_local std::vector<double> y;
+  const DecodeSession& lead = *steps[0].session;
+  const std::size_t d = static_cast<std::size_t>(lead.d_);
+  thread_local std::vector<int> tokens;
   thread_local std::vector<int> pos;
-  thread_local std::vector<double*> k_ptrs;
-  thread_local std::vector<double*> v_ptrs;
-  thread_local std::vector<const double*> ck_ptrs;
-  thread_local std::vector<const double*> cv_ptrs;
-  thread_local std::vector<double> z;
-  x.resize(size);
-  y.resize(size);
-  pos.resize(static_cast<std::size_t>(rows));
-  k_ptrs.resize(static_cast<std::size_t>(rows));
-  v_ptrs.resize(static_cast<std::size_t>(rows));
-  ck_ptrs.resize(static_cast<std::size_t>(rows));
-  cv_ptrs.resize(static_cast<std::size_t>(rows));
-  z.resize(static_cast<std::size_t>(rows));
-
-  // Stack the lane input rows: token embedding + positional encoding.
-  for (int i = 0; i < rows; ++i) {
-    const BatchStep& s = steps[static_cast<std::size_t>(i)];
-    const int token = s.session->step_token(s.lane, s.prev_decision);
-    const int t = s.session->len_[static_cast<std::size_t>(s.lane)];
-    pos[static_cast<std::size_t>(i)] = t;
-    double* row = x.data() + static_cast<std::size_t>(i) * d;
-    model->token_embed_.infer_row(token, row);
-    model->pos_enc_.infer_add_row(t, row);
-  }
-  for (int l = 0; l < layers; ++l) {
-    for (int i = 0; i < rows; ++i) {
-      const BatchStep& s = steps[static_cast<std::size_t>(i)];
-      k_ptrs[static_cast<std::size_t>(i)] = s.session->self_kt(l, s.lane);
-      v_ptrs[static_cast<std::size_t>(i)] = s.session->self_v(l, s.lane);
-      ck_ptrs[static_cast<std::size_t>(i)] =
-          s.session->cross_k_.data() + static_cast<std::size_t>(l) * d;
-      cv_ptrs[static_cast<std::size_t>(i)] =
-          s.session->cross_v_.data() + static_cast<std::size_t>(l) * d;
+  thread_local std::vector<nn::RowCache> caches;
+  tokens.resize(steps.size());
+  pos.resize(steps.size());
+  caches.resize(static_cast<std::size_t>(lead.layers_) * steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const BatchStep& s = steps[i];
+    DecodeSession& session = *s.session;
+    tokens[i] = session.step_token(s.lane, s.prev_decision);
+    pos[i] = session.len_[static_cast<std::size_t>(s.lane)];
+    for (int l = 0; l < lead.layers_; ++l) {
+      const std::size_t layer = static_cast<std::size_t>(l);
+      nn::RowCache& c = caches[layer * steps.size() + i];
+      c.self_kt = session.self_kt(l, s.lane);
+      c.self_v = session.self_v(l, s.lane);
+      c.cross_kt = session.cross_k_.data() + layer * d;
+      c.cross_v = session.cross_v_.data() + layer * d;
     }
-    model->decoder_stack_[static_cast<std::size_t>(l)]->infer_step_batch(
-        x.data(), rows, pos.data(), k_ptrs.data(), lead.n_, v_ptrs.data(),
-        ck_ptrs.data(), cv_ptrs.data(), 1, y.data());
-    x.swap(y);
   }
-  model->head_.infer(x.data(), rows, z.data());
-  for (int i = 0; i < rows; ++i) {
-    const BatchStep& s = steps[static_cast<std::size_t>(i)];
-    s.session->len_[static_cast<std::size_t>(s.lane)] =
-        pos[static_cast<std::size_t>(i)] + 1;
-    probs_out[i] =
-        nn::infer::stable_sigmoid(z[static_cast<std::size_t>(i)]);
+  model->forward_rows(rows, tokens.data(), pos.data(), caches.data(),
+                      lead.n_, probs_out);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const BatchStep& s = steps[i];
+    s.session->len_[static_cast<std::size_t>(s.lane)] = pos[i] + 1;
+    probs_out[i] = nn::infer::stable_sigmoid(probs_out[i]);
   }
 }
 

@@ -55,16 +55,17 @@ struct BatchStep {
 /// The session holds, per decoder layer, the cross-attention K/V projection
 /// of the insight embedding (computed once at construction) and, per lane,
 /// the self-attention K/V rows of every position decoded so far. A lane is
-/// one independent prefix; step() extends it by a single position at
-/// O(prefix) cost instead of re-running the full O(prefix^2) forward.
-/// Beam search uses one lane per beam entry plus copy_lane() to duplicate a
-/// surviving parent's cache when the beam reorders. Probabilities are
-/// bitwise identical to the autograd forward over the same prefix.
+/// one independent prefix; step_batch() extends any set of lanes by one
+/// position each at O(prefix) cost instead of re-running the full
+/// O(prefix^2) forward. Beam search uses one lane per beam entry plus
+/// copy_lane() to duplicate a surviving parent's cache when the beam
+/// reorders. Probabilities are bitwise identical to the autograd forward
+/// over the same prefix.
 class DecodeSession {
  public:
   /// P(r_t = 1 | prefix, I) for this lane's next position t == length(lane).
   /// `prev_decision` is r_{t-1} (ignored at t == 0, where SOS is fed).
-  /// Advances the lane's cache by one position.
+  /// Advances the lane's cache by one position: a one-row step_batch.
   double step(int lane, int prev_decision);
   /// Duplicate lane `src`'s cached prefix (all layers + length) into `dst`.
   void copy_lane(int dst, int src);
@@ -99,9 +100,10 @@ class DecodeSession {
   /// sessions (all over the same model) — by one position each, stacking
   /// the lane rows into single blocked-matmul forwards (see
   /// TransformerDecoderLayer::infer_step_batch). probs_out[i] receives
-  /// P(r_t = 1) for steps[i], bitwise identical to steps[i].session->
-  /// step(lane, prev_decision). Lanes must be distinct across the batch;
-  /// sessions may repeat (one entry per beam lane).
+  /// P(r_t = 1) for steps[i], bitwise identical to the tape forward over
+  /// that lane's prefix and independent of the rest of the batch. Lanes
+  /// must be distinct across the batch; sessions may repeat (one entry
+  /// per beam lane).
   static void step_batch(std::span<const BatchStep> steps, double* probs_out);
 
  private:
@@ -125,7 +127,6 @@ class DecodeSession {
   int n_;       // num_recipes (max positions per lane)
   int d_;       // d_model
   int layers_;  // decoder stack depth
-  std::vector<double> memory_;   // (1 x d) insight embedding
   // Cross-attention key projection, feature-major (d x mem_rows with
   // mem_rows == 1, so the storage coincides with the old (1 x d) row).
   std::vector<double> cross_k_;  // layers x (d x 1)
@@ -134,8 +135,6 @@ class DecodeSession {
   std::vector<double> self_k_;   // layers x lanes x (d x n) K^T
   std::vector<double> self_v_;   // layers x lanes x (n x d)
   std::vector<int> len_;         // per-lane decoded length
-  std::vector<double> x_row_;    // (d) scratch: layer input row
-  std::vector<double> y_row_;    // (d) scratch: layer output row
 };
 
 class RecipeModel final : public nn::Module {
@@ -163,21 +162,10 @@ class RecipeModel final : public nn::Module {
   [[nodiscard]] double log_prob(std::span<const double> insight,
                                 std::span<const int> decisions) const;
 
-  /// Tape-free teacher-forced logits for the first `steps` positions,
-  /// written to logits_out (`steps` doubles). No graph is built; values are
-  /// bitwise identical to forward_logits().
-  void infer_logits(std::span<const double> insight,
-                    std::span<const int> decisions, int steps,
-                    double* logits_out) const;
-
   /// Open a KV-cached incremental decode session with `max_lanes`
   /// independent prefixes over this insight (see DecodeSession).
   [[nodiscard]] DecodeSession decode(std::span<const double> insight,
                                      int max_lanes = 1) const;
-
-  /// P(r_t = 1 | prefix, I) where t == prefix.size(). Used by beam search.
-  [[nodiscard]] double next_prob(std::span<const double> insight,
-                                 std::span<const int> prefix) const;
 
   /// Per-position P(r_t = 1 | r_<t, I) under teacher forcing (diagnostics).
   [[nodiscard]] std::vector<double> step_probs(
@@ -191,6 +179,24 @@ class RecipeModel final : public nn::Module {
 
   [[nodiscard]] nn::Tensor insight_embedding(
       std::span<const double> insight) const;
+  /// Tape-free insight embedding, projected into every layer's
+  /// cross-attention K^T / V (layer l at offset l * d_model of each).
+  void encode_insight(std::span<const double> insight, double* cross_k,
+                      double* cross_v) const;
+  /// The one tape-free forward, shared by prefill (infer_logits) and
+  /// decode (DecodeSession::step_batch): row i embeds tokens[i] at
+  /// position pos[i], runs through each layer l's infer_step_batch with
+  /// the caches caches[l * rows + i] (self K^T leading dimension kt_ld),
+  /// and writes its head logit to logits[i].
+  void forward_rows(int rows, const int* tokens, const int* pos,
+                    const nn::RowCache* caches, int kt_ld,
+                    double* logits) const;
+  /// Tape-free teacher-forced logits of all num_recipes positions,
+  /// written to logits_out, bitwise identical to forward_logits(): a
+  /// prefill of every position as one forward_rows batch over one lane's
+  /// caches.
+  void infer_logits(std::span<const double> insight,
+                    std::span<const int> decisions, double* logits_out) const;
   /// Validates `decisions` and expands it into input tokens (SOS-shifted).
   [[nodiscard]] std::vector<int> input_tokens(std::span<const int> decisions,
                                               int steps) const;

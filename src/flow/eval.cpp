@@ -241,11 +241,9 @@ const FlowResult& FlowEval::probe(const Design& design) {
 
 void FlowEval::eval_many(
     const Design& design, std::span<const RecipeSet> sets,
-    const std::function<void(std::size_t, const Qor&)>& sink,
-    unsigned threads) {
+    const std::function<void(std::size_t, const Qor&)>& sink) {
   util::ThreadPool::shared().parallel_for(
-      sets.size(),
-      [&](std::size_t i) { sink(i, eval(design, sets[i])); }, threads);
+      sets.size(), [&](std::size_t i) { sink(i, eval(design, sets[i])); });
 }
 
 FlowEvalStats FlowEval::stats() const {

@@ -78,10 +78,9 @@ class FlowEval {
 
   /// Evaluates `sets` (deduplicated via the cache) on the shared
   /// ThreadPool and hands each result to sink(i, qor); sink must write to
-  /// disjoint slots. `threads` caps the participants (0 => no cap).
+  /// disjoint slots.
   void eval_many(const Design& design, std::span<const RecipeSet> sets,
-                 const std::function<void(std::size_t, const Qor&)>& sink,
-                 unsigned threads = 0);
+                 const std::function<void(std::size_t, const Qor&)>& sink);
 
   [[nodiscard]] FlowEvalStats stats() const;
   void reset_stats();

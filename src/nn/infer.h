@@ -1,10 +1,11 @@
 #pragma once
 // Row-wise helpers for the tape-free inference path. Each helper replicates
 // the corresponding tensor.cpp op's arithmetic *in the same order* (single
-// accumulator, ascending index), so module `infer` methods produce values
+// accumulator, ascending index), so module `infer*` methods produce values
 // bitwise identical to the autograd forward. That identity is what lets
-// `RecipeModel::next_prob` / `log_prob` route through the fast path without
-// perturbing beam-search output or training metrics.
+// `RecipeModel::log_prob` / `step_probs` and `DecodeSession::step_batch`
+// route through the fast path without perturbing beam-search output or
+// training metrics.
 
 #include <cmath>
 

@@ -144,7 +144,8 @@ void Embedding::infer_row(int id, double* out) const {
   if (id < 0 || id >= num_) {
     throw std::out_of_range("Embedding::infer_row: id out of range");
   }
-  const double* row = table_.data().data() + static_cast<std::size_t>(id) * dim_;
+  const double* row =
+      table_.data().data() + static_cast<std::size_t>(id) * dim_;
   std::copy_n(row, dim_, out);
 }
 
@@ -290,25 +291,16 @@ void SingleHeadAttention::infer_ctx(const double* q_row, const double* kt,
   kern::matmul(scores.data(), v_rows, ctx_row, 1, len, dim_);
 }
 
-void SingleHeadAttention::infer_attend(const double* q_row, const double* kt,
-                                       int kt_ld, const double* v_rows,
-                                       int len, double* out_row) const {
-  thread_local std::vector<double> ctx;
-  ctx.resize(static_cast<std::size_t>(dim_));
-  infer_ctx(q_row, kt, kt_ld, v_rows, len, ctx.data());
-  kern::matmul(ctx.data(), wo_.data().data(), out_row, 1, dim_, dim_);
-}
-
 void SingleHeadAttention::infer_attend_batch(const double* q_rows, int rows,
                                              const double* const* kt,
                                              int kt_ld,
                                              const double* const* v_rows,
                                              const int* lens,
                                              double* out_rows) const {
-  // The context mix is inherently per-lane (ragged lens), but the Wo
+  // The context mix is inherently per-row (ragged lens), but the Wo
   // projection of the stacked context rows is one blocked matmul; the
   // kernel's per-element summation-order invariant keeps each row bitwise
-  // equal to the m == 1 projection infer_attend performs.
+  // equal to the same row of the tape's (L x d) projection.
   thread_local std::vector<double> ctx;
   ctx.resize(static_cast<std::size_t>(rows) * dim_);
   for (int i = 0; i < rows; ++i) {
@@ -317,24 +309,6 @@ void SingleHeadAttention::infer_attend_batch(const double* q_rows, int rows,
               ctx.data() + static_cast<std::size_t>(i) * dim_);
   }
   kern::matmul(ctx.data(), wo_.data().data(), out_rows, rows, dim_, dim_);
-}
-
-void SingleHeadAttention::infer(const double* query, int lq,
-                                const double* memory, int lk, bool causal,
-                                double* out) const {
-  thread_local std::vector<double> q;
-  thread_local std::vector<double> kt;
-  thread_local std::vector<double> v;
-  q.resize(static_cast<std::size_t>(lq) * dim_);
-  kt.resize(static_cast<std::size_t>(lk) * dim_);
-  v.resize(static_cast<std::size_t>(lk) * dim_);
-  infer_q(query, lq, q.data());
-  infer_kv_t(memory, lk, kt.data(), lk, v.data());
-  for (int i = 0; i < lq; ++i) {
-    const int len = causal ? std::min(i + 1, lk) : lk;
-    infer_attend(q.data() + static_cast<std::size_t>(i) * dim_, kt.data(),
-                 lk, v.data(), len, out + static_cast<std::size_t>(i) * dim_);
-  }
 }
 
 std::vector<Tensor> SingleHeadAttention::parameters() const {
@@ -386,82 +360,17 @@ Tensor TransformerDecoderLayer::forward(const Tensor& x,
   return norm3_.forward(add(h2, ffn_.forward(h2)));
 }
 
-void TransformerDecoderLayer::infer(const double* x, int rows,
-                                    const double* memory, int mem_rows,
-                                    double* out) const {
-  const int d = dim();
-  const std::size_t size = static_cast<std::size_t>(rows) * d;
-  thread_local std::vector<double> attn;
-  thread_local std::vector<double> h1;
-  thread_local std::vector<double> h2;
-  attn.resize(size);
-  h1.resize(size);
-  h2.resize(size);
-  // h1 = norm1(x + self_attn(x, x, causal))
-  self_attn_.infer(x, rows, x, rows, /*causal=*/true, attn.data());
-  for (std::size_t i = 0; i < size; ++i) h1[i] = x[i] + attn[i];
-  norm1_.infer(h1.data(), rows, h1.data());
-  // h2 = norm2(h1 + cross_attn(h1, memory))
-  cross_attn_.infer(h1.data(), rows, memory, mem_rows, /*causal=*/false,
-                    attn.data());
-  for (std::size_t i = 0; i < size; ++i) h2[i] = h1[i] + attn[i];
-  norm2_.infer(h2.data(), rows, h2.data());
-  // out = norm3(h2 + ffn(h2))
-  ffn_.infer(h2.data(), rows, attn.data());
-  for (std::size_t i = 0; i < size; ++i) out[i] = h2[i] + attn[i];
-  norm3_.infer(out, rows, out);
-}
-
 void TransformerDecoderLayer::infer_cross_kv(const double* memory,
                                              int mem_rows, double* cross_kt,
                                              double* cross_v) const {
   cross_attn_.infer_kv_t(memory, mem_rows, cross_kt, mem_rows, cross_v);
 }
 
-void TransformerDecoderLayer::infer_step(const double* x_row, int pos,
-                                         double* self_kt, int self_kt_ld,
-                                         double* self_v,
-                                         const double* cross_kt,
-                                         const double* cross_v, int mem_rows,
-                                         double* out_row) const {
-  const int d = dim();
-  thread_local std::vector<double> q;
-  thread_local std::vector<double> row_a;
-  thread_local std::vector<double> row_b;
-  q.resize(static_cast<std::size_t>(d));
-  row_a.resize(static_cast<std::size_t>(d));
-  row_b.resize(static_cast<std::size_t>(d));
-  // Self-attention: extend the cache with this position (K as column `pos`
-  // of the feature-major cache, V as row `pos`), attend over the pos+1
-  // visible positions.
-  self_attn_.infer_q(x_row, 1, q.data());
-  self_attn_.infer_kv_t(x_row, 1, self_kt + pos, self_kt_ld,
-                        self_v + static_cast<std::size_t>(pos) * d);
-  self_attn_.infer_attend(q.data(), self_kt, self_kt_ld, self_v, pos + 1,
-                          row_a.data());
-  for (int j = 0; j < d; ++j) row_a[static_cast<std::size_t>(j)] += x_row[j];
-  norm1_.infer(row_a.data(), 1, row_a.data());  // row_a = h1
-  // Cross-attention over the precomputed memory projection.
-  cross_attn_.infer_q(row_a.data(), 1, q.data());
-  cross_attn_.infer_attend(q.data(), cross_kt, mem_rows, cross_v, mem_rows,
-                           row_b.data());
-  for (int j = 0; j < d; ++j) {
-    row_b[static_cast<std::size_t>(j)] += row_a[static_cast<std::size_t>(j)];
-  }
-  norm2_.infer(row_b.data(), 1, row_b.data());  // row_b = h2
-  // Feed-forward.
-  ffn_.infer(row_b.data(), 1, row_a.data());
-  for (int j = 0; j < d; ++j) {
-    out_row[j] =
-        row_b[static_cast<std::size_t>(j)] + row_a[static_cast<std::size_t>(j)];
-  }
-  norm3_.infer(out_row, 1, out_row);
-}
-
-void TransformerDecoderLayer::infer_step_batch(
-    const double* x_rows, int rows, const int* pos, double* const* self_kt,
-    int self_kt_ld, double* const* self_v, const double* const* cross_kt,
-    const double* const* cross_v, int mem_rows, double* out_rows) const {
+void TransformerDecoderLayer::infer_step_batch(const double* x_rows, int rows,
+                                               const int* pos,
+                                               const RowCache* caches,
+                                               int self_kt_ld, int mem_rows,
+                                               double* out_rows) const {
   const int d = dim();
   const std::size_t size = static_cast<std::size_t>(rows) * d;
   thread_local std::vector<double> q;
@@ -491,16 +400,16 @@ void TransformerDecoderLayer::infer_step_batch(
   self_attn_.infer_q(x_rows, rows, q.data());
   self_attn_.infer_kv(x_rows, rows, kv_k.data(), kv_v.data());
   for (int i = 0; i < rows; ++i) {
-    dst[i] = self_kt[i] + pos[i];
+    dst[i] = caches[i].self_kt + pos[i];
   }
   kern::scatter_cols(kv_k.data(), rows, d, dst, self_kt_ld);
   for (int i = 0; i < rows; ++i) {
-    dst[i] = self_v[i] + static_cast<std::size_t>(pos[i]) * d;
+    dst[i] = caches[i].self_v + static_cast<std::size_t>(pos[i]) * d;
   }
   kern::scatter_rows(kv_v.data(), rows, d, dst);
   for (int i = 0; i < rows; ++i) {
-    att_k[static_cast<std::size_t>(i)] = self_kt[i];
-    att_v[static_cast<std::size_t>(i)] = self_v[i];
+    att_k[static_cast<std::size_t>(i)] = caches[i].self_kt;
+    att_v[static_cast<std::size_t>(i)] = caches[i].self_v;
     lens[static_cast<std::size_t>(i)] = pos[i] + 1;
   }
   self_attn_.infer_attend_batch(q.data(), rows, att_k.data(), self_kt_ld,
@@ -511,8 +420,8 @@ void TransformerDecoderLayer::infer_step_batch(
   // Cross-attention over each lane's precomputed memory projection.
   cross_attn_.infer_q(h1.data(), rows, q.data());
   for (int i = 0; i < rows; ++i) {
-    att_k[static_cast<std::size_t>(i)] = cross_kt[i];
-    att_v[static_cast<std::size_t>(i)] = cross_v[i];
+    att_k[static_cast<std::size_t>(i)] = caches[i].cross_kt;
+    att_v[static_cast<std::size_t>(i)] = caches[i].cross_v;
     lens[static_cast<std::size_t>(i)] = mem_rows;
   }
   cross_attn_.infer_attend_batch(q.data(), rows, att_k.data(), mem_rows,

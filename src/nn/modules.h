@@ -123,9 +123,6 @@ class SingleHeadAttention final : public Module {
   /// (only meaningful when Lq == Lk).
   [[nodiscard]] Tensor forward(const Tensor& query, const Tensor& memory,
                                bool causal) const;
-  /// Tape-free forward over full matrices, bitwise identical to forward().
-  void infer(const double* query, int lq, const double* memory, int lk,
-             bool causal, double* out) const;
   /// K/V projection of `rows` source rows (row-major caches):
   /// k = x Wk, v = x Wv, each (rows x dim).
   void infer_kv(const double* x, int rows, double* k, double* v) const;
@@ -138,18 +135,12 @@ class SingleHeadAttention final : public Module {
                   double* v) const;
   /// Query projection of `rows` rows: q = x Wq.
   void infer_q(const double* x, int rows, double* q) const;
-  /// Attend one projected query row over `len` cached source positions
-  /// (causal by construction: the caller passes only the visible columns),
-  /// with the keys feature-major (kt, leading dimension kt_ld) and the
-  /// values row-major, writing the output-projected result row. Bitwise
-  /// identical to the corresponding row of forward().
-  void infer_attend(const double* q_row, const double* kt, int kt_ld,
-                    const double* v_rows, int len, double* out_row) const;
-  /// Batched infer_attend over `rows` independent lanes: row i attends its
-  /// projected query over lens[i] cached positions at kt[i] (feature-major,
-  /// shared leading dimension kt_ld) / v_rows[i] (row-major). The per-lane
-  /// context rows are stacked and output-projected with a single blocked
-  /// matmul; each output row is bitwise identical to infer_attend.
+  /// Attend `rows` projected query rows, row i over lens[i] cached source
+  /// positions at kt[i] (feature-major, shared leading dimension kt_ld) /
+  /// v_rows[i] (row-major); causal by construction, since the caller
+  /// passes only the visible positions. The per-row context rows are
+  /// stacked and output-projected with a single blocked matmul; row i is
+  /// bitwise identical to the matching row of forward().
   void infer_attend_batch(const double* q_rows, int rows,
                           const double* const* kt, int kt_ld,
                           const double* const* v_rows, const int* lens,
@@ -181,6 +172,17 @@ class FeedForward final : public Module {
   Linear fc2_;
 };
 
+/// One stacked row's caches for TransformerDecoderLayer::infer_step_batch:
+/// its lane's self-attention keys, feature-major (K^T: feature c of
+/// position t at self_kt[c * ld + t]), and values, row-major; and its
+/// memory's cross-attention K^T (leading dimension mem_rows) and V.
+struct RowCache {
+  double* self_kt;
+  double* self_v;
+  const double* cross_kt;
+  const double* cross_v;
+};
+
 /// Post-norm transformer decoder layer (Vaswani et al.):
 /// causal self-attention, cross-attention to a memory sequence, FFN,
 /// each with residual connection + LayerNorm.
@@ -189,37 +191,23 @@ class TransformerDecoderLayer final : public Module {
   TransformerDecoderLayer(int dim, int ffn_hidden, util::Rng& rng);
   /// x: (L, d) target sequence; memory: (M, d) context (insight embedding).
   [[nodiscard]] Tensor forward(const Tensor& x, const Tensor& memory) const;
-  /// Tape-free full-sequence forward, bitwise identical to forward().
-  void infer(const double* x, int rows, const double* memory, int mem_rows,
-             double* out) const;
   /// Precompute the cross-attention K/V projection of a fixed memory for
   /// reuse across decode steps: cross_kt is feature-major (dim x mem_rows,
   /// leading dimension mem_rows), cross_v row-major (mem_rows x dim).
   void infer_cross_kv(const double* memory, int mem_rows, double* cross_kt,
                       double* cross_v) const;
-  /// KV-cached incremental step for position `pos`: appends this position's
-  /// self-attention K as column `pos` of the feature-major cache self_kt
-  /// (dim x capacity, leading dimension self_kt_ld > pos) and its V row at
-  /// self_v + pos * dim (columns/rows [0, pos) already filled by prior
-  /// steps), then writes the layer output row. Bitwise identical to row
-  /// `pos` of forward() over the same prefix.
-  void infer_step(const double* x_row, int pos, double* self_kt,
-                  int self_kt_ld, double* self_v, const double* cross_kt,
-                  const double* cross_v, int mem_rows,
-                  double* out_row) const;
-  /// Cross-lane batched infer_step: row i of x_rows is the input of an
-  /// independent lane at position pos[i] with its own K/V cache base
-  /// (self_kt[i] feature-major with shared leading dimension self_kt_ld,
-  /// self_v[i] row-major) and cross-attention memory projection
-  /// (cross_kt[i] feature-major with leading dimension mem_rows,
-  /// cross_v[i] row-major). All lane projections (Q/K/V, Wo, FFN) run as
-  /// single blocked matmuls over the stacked rows; out_rows may not alias
-  /// x_rows. Row i is bitwise identical to infer_step on the same lane.
+  /// The tape-free forward (KV-cached): row i of x_rows is the input at
+  /// position pos[i] of the lane whose caches are caches[i] (self K^T
+  /// leading dimension self_kt_ld > pos[i]). Every row's K column and V
+  /// row are written at pos[i] before any row attends, and row i then
+  /// attends over its pos[i] + 1 cached positions. So rows may be
+  /// independent lanes (one decode step each), or positions 0..rows-1 of
+  /// one lane sharing one cache (the causal full-sequence prefill). All
+  /// projections (Q/K/V, Wo, FFN) run as single blocked matmuls over the
+  /// stacked rows; out_rows may not alias x_rows. Row i is bitwise
+  /// identical to the matching row of forward() over that lane's prefix.
   void infer_step_batch(const double* x_rows, int rows, const int* pos,
-                        double* const* self_kt, int self_kt_ld,
-                        double* const* self_v,
-                        const double* const* cross_kt,
-                        const double* const* cross_v, int mem_rows,
+                        const RowCache* caches, int self_kt_ld, int mem_rows,
                         double* out_rows) const;
   [[nodiscard]] int dim() const noexcept { return self_attn_.dim(); }
   [[nodiscard]] std::vector<Tensor> parameters() const override;

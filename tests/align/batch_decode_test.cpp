@@ -1,14 +1,17 @@
-// Cross-session batched decoding (DecodeSession::step_batch) vs per-lane
-// step(): the batched forward stacks lane rows into blocked matmuls, and
-// the serving layer's correctness rests on the two being bitwise
-// identical. Exact equality is the contract, not a tolerance.
+// Cross-session batched decoding (DecodeSession::step_batch) vs the tape
+// forward: the batched forward stacks lane rows into blocked matmuls, and
+// beam search's and the serving layer's correctness rest on every row being
+// bitwise identical to the autograd forward over that lane's prefix. Exact
+// equality is the contract, not a tolerance.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "align/recipe_model.h"
+#include "nn/infer.h"
 
 namespace vpr::align {
 namespace {
@@ -20,33 +23,57 @@ std::vector<double> test_insight(util::Rng& rng) {
   return iv;
 }
 
-TEST(StepBatch, MatchesPerLaneStepExactly) {
-  // Two identical sessions over the same insight: one advances its lanes
-  // through step_batch, the other lane by lane. Every probability and the
-  // entire downstream decode must agree bitwise at every position.
-  util::Rng rng{61};
-  const RecipeModel model{ModelConfig{}, rng};
-  const auto iv = test_insight(rng);
-  constexpr int kLanes = 6;
-  DecodeSession batched = model.decode(iv, kLanes);
-  DecodeSession serial = model.decode(iv, kLanes);
+/// P(r_t = 1 | prefix) from the full tape forward over the prefix.
+double tape_prob(const RecipeModel& model, std::span<const double> iv,
+                 std::span<const int> prefix) {
+  const int t = static_cast<int>(prefix.size());
+  const nn::Tensor logits = model.forward_logits(iv, prefix, t + 1);
+  return nn::infer::stable_sigmoid(logits.at(t, 0));
+}
 
-  std::vector<int> prev(kLanes, 0);
-  std::vector<BatchStep> steps;
-  std::vector<double> probs(kLanes);
-  for (int t = 0; t < model.config().num_recipes; ++t) {
-    steps.clear();
-    for (int lane = 0; lane < kLanes; ++lane) {
-      steps.push_back({&batched, lane, prev[static_cast<std::size_t>(lane)]});
+TEST(StepBatch, MatchesTapeForwardExactly) {
+  // Six lanes with diverging decisions advance together through step_batch
+  // over the whole sequence; every probability must equal the tape forward
+  // over that lane's prefix, for the paper's one-layer decoder and for
+  // deeper stacks.
+  for (const int layers : {1, 2, 3}) {
+    util::Rng rng{61};
+    ModelConfig config;
+    config.decoder_layers = layers;
+    const RecipeModel model{config, rng};
+    const auto iv = test_insight(rng);
+    const int n = model.config().num_recipes;
+    constexpr int kLanes = 6;
+    DecodeSession session = model.decode(iv, kLanes);
+
+    std::vector<std::vector<int>> decisions(kLanes);
+    std::vector<std::vector<double>> probs_of(kLanes);
+    std::vector<BatchStep> steps;
+    std::vector<double> probs(kLanes);
+    for (int t = 0; t < n; ++t) {
+      steps.clear();
+      for (int lane = 0; lane < kLanes; ++lane) {
+        const auto& bits = decisions[static_cast<std::size_t>(lane)];
+        steps.push_back({&session, lane, bits.empty() ? 0 : bits.back()});
+      }
+      DecodeSession::step_batch(steps, probs.data());
+      for (int lane = 0; lane < kLanes; ++lane) {
+        const auto l = static_cast<std::size_t>(lane);
+        probs_of[l].push_back(probs[l]);
+        // Diverging per-lane decisions exercise distinct prefixes.
+        decisions[l].push_back((t + lane) % 2);
+      }
     }
-    DecodeSession::step_batch(steps, probs.data());
+    // The tape is causal, so one teacher-forced forward per lane yields
+    // P(r_t = 1 | r_<t) at every position.
     for (int lane = 0; lane < kLanes; ++lane) {
-      const double expect =
-          serial.step(lane, prev[static_cast<std::size_t>(lane)]);
-      ASSERT_DOUBLE_EQ(probs[static_cast<std::size_t>(lane)], expect)
-          << "lane " << lane << " step " << t;
-      // Diverging per-lane decisions exercise distinct prefixes.
-      prev[static_cast<std::size_t>(lane)] = (t + lane) % 2;
+      const auto l = static_cast<std::size_t>(lane);
+      const nn::Tensor logits = model.forward_logits(iv, decisions[l], n);
+      for (int t = 0; t < n; ++t) {
+        ASSERT_EQ(probs_of[l][static_cast<std::size_t>(t)],
+                  nn::infer::stable_sigmoid(logits.at(t, 0)))
+            << "layers " << layers << " lane " << lane << " step " << t;
+      }
     }
   }
 }
@@ -54,30 +81,25 @@ TEST(StepBatch, MatchesPerLaneStepExactly) {
 TEST(StepBatch, MixedLaneLengthsAndCrossSessionBatch) {
   // Lanes at different positions, spread across two sessions with
   // different insights, batched together — the serving layer's steady
-  // state. Each result must equal the corresponding serial step.
+  // state. Each result must equal the tape forward over its lane's prefix.
   util::Rng rng{62};
   const RecipeModel model{ModelConfig{}, rng};
   const auto iv_a = test_insight(rng);
   const auto iv_b = test_insight(rng);
   DecodeSession a = model.decode(iv_a, 2);
   DecodeSession b = model.decode(iv_b, 2);
-  DecodeSession a_ref = model.decode(iv_a, 2);
-  DecodeSession b_ref = model.decode(iv_b, 2);
 
-  // Stagger the lanes: a.lane0 at t=3, a.lane1 at t=1, b.lane0 at t=0.
-  for (int t = 0; t < 3; ++t) {
-    (void)a.step(0, t % 2);
-    (void)a_ref.step(0, t % 2);
-  }
+  // Stagger the lanes: a.lane0 at t=3 (prefix 1, 0 so far), a.lane1 at
+  // t=1, b.lane0 at t=0.
+  for (int t = 0; t < 3; ++t) (void)a.step(0, t % 2);
   (void)a.step(1, 0);
-  (void)a_ref.step(1, 0);
 
   const std::vector<BatchStep> steps{{&a, 0, 1}, {&a, 1, 1}, {&b, 0, 0}};
   double probs[3] = {};
   DecodeSession::step_batch(steps, probs);
-  EXPECT_DOUBLE_EQ(probs[0], a_ref.step(0, 1));
-  EXPECT_DOUBLE_EQ(probs[1], a_ref.step(1, 1));
-  EXPECT_DOUBLE_EQ(probs[2], b_ref.step(0, 0));
+  EXPECT_EQ(probs[0], tape_prob(model, iv_a, std::vector<int>{1, 0, 1}));
+  EXPECT_EQ(probs[1], tape_prob(model, iv_a, std::vector<int>{1}));
+  EXPECT_EQ(probs[2], tape_prob(model, iv_b, std::vector<int>{}));
   EXPECT_EQ(a.length(0), 4);
   EXPECT_EQ(a.length(1), 2);
   EXPECT_EQ(b.length(0), 1);
@@ -121,7 +143,7 @@ TEST(DecodeSession, RebindMatchesFreshSession) {
 
   DecodeSession fresh = model.decode(iv_second, 2);
   for (int t = 0; t < model.config().num_recipes; ++t) {
-    ASSERT_DOUBLE_EQ(recycled.step(0, t % 2), fresh.step(0, t % 2))
+    ASSERT_EQ(recycled.step(0, t % 2), fresh.step(0, t % 2))
         << "step " << t;
   }
 }
@@ -148,7 +170,7 @@ TEST(DecodeSession, RebindAndCopyLaneIgnoreStaleSoAColumns) {
 
   DecodeSession fresh = model.decode(iv_second, 2);
   for (int t = 0; t < 4; ++t) {
-    ASSERT_DOUBLE_EQ(recycled.step(0, t % 2), fresh.step(0, t % 2));
+    ASSERT_EQ(recycled.step(0, t % 2), fresh.step(0, t % 2));
   }
   // Survivor copy into the lane with the deep stale cache: only the
   // 4-position per-feature prefixes may come across.
@@ -156,7 +178,7 @@ TEST(DecodeSession, RebindAndCopyLaneIgnoreStaleSoAColumns) {
   fresh.copy_lane(1, 0);
   EXPECT_EQ(recycled.length(1), fresh.length(1));
   for (int t = 4; t < model.config().num_recipes; ++t) {
-    ASSERT_DOUBLE_EQ(recycled.step(1, t % 2), fresh.step(1, t % 2))
+    ASSERT_EQ(recycled.step(1, t % 2), fresh.step(1, t % 2))
         << "step " << t;
   }
 }

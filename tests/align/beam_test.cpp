@@ -43,10 +43,12 @@ TEST(BeamSearch, TopCandidateMatchesGreedyArgmax) {
   // Width 1 == greedy decoding.
   const auto greedy = beam_search(model, iv(), 1);
   ASSERT_EQ(greedy.size(), 1u);
-  std::vector<int> bits;
-  for (int t = 0; t < 40; ++t) {
-    const double p = model.next_prob(iv(), bits);
-    bits.push_back(p > 0.5 ? 1 : 0);
+  // step_probs is causal: position t reads only bits[0, t), which are
+  // final by the time it is read.
+  std::vector<int> bits(40, 0);
+  for (std::size_t t = 0; t < bits.size(); ++t) {
+    const double p = model.step_probs(iv(), bits)[t];
+    bits[t] = p > 0.5 ? 1 : 0;
   }
   EXPECT_EQ(greedy.front().recipes, flow::RecipeSet::from_bits(bits));
 }

@@ -77,14 +77,14 @@ TEST(RecipeModel, NextProbMatchesTeacherForcedStep) {
   bits[1] = 0;
   bits[2] = 1;
   const auto forced = model.step_probs(iv, bits);
-  // next_prob with prefix of length t must equal the teacher-forced prob
-  // at step t (same inputs visible under the causal mask).
-  for (int t = 0; t < 5; ++t) {
-    const std::span<const int> prefix(bits.data(),
-                                      static_cast<std::size_t>(t));
-    EXPECT_NEAR(model.next_prob(iv, prefix),
-                forced[static_cast<std::size_t>(t)], 1e-9)
-        << "step " << t;
+  // Decoding the prefix one position at a time must give the teacher-forced
+  // (prefill) prob at every step: the same inputs are visible under the
+  // causal mask.
+  DecodeSession session = model.decode(iv, 1);
+  for (int t = 0; t < 40; ++t) {
+    const double next =
+        session.step(0, t == 0 ? 0 : bits[static_cast<std::size_t>(t - 1)]);
+    EXPECT_EQ(next, forced[static_cast<std::size_t>(t)]) << "step " << t;
   }
 }
 
@@ -154,8 +154,7 @@ TEST(RecipeModel, InputValidation) {
   bad_bits[5] = 2;
   EXPECT_THROW((void)model.log_prob(test_insight(), bad_bits),
                std::invalid_argument);
-  const std::vector<int> full(40, 0);
-  EXPECT_THROW((void)model.next_prob(test_insight(), full),
+  EXPECT_THROW((void)model.step_probs(test_insight(), short_bits),
                std::invalid_argument);
 }
 

@@ -1,10 +1,16 @@
-# golden.paper_fast: regenerates the FAST-scale paper results (Table IV,
-# Figs. 6 and 7) from a fresh, empty artifact cache and byte-compares each
-# harness's stdout with the committed file next to this script. Every run
-# is deterministic, so any difference means QoR (or the model) moved.
+# golden.paper_fast / golden.paper_full: regenerates the paper results
+# (Table IV, Figs. 6 and 7) from a fresh, empty artifact cache and
+# byte-compares each harness's stdout with the committed golden file. Every
+# run is deterministic, so any difference means QoR (or the model) moved.
 #
 #   cmake -DBENCH_DIR=<dir of the bench binaries> -DGOLDEN_DIR=<this dir>
-#         -DWORK_DIR=<scratch dir> -P check_paper_fast.cmake
+#         -DWORK_DIR=<scratch dir> [-DSCALE=fast|full]
+#         -P check_paper_fast.cmake
+#
+# SCALE=fast (the default) runs with INSIGHTALIGN_FAST=1 against the files
+# next to this script; SCALE=full runs the paper-scale harnesses against
+# full/*.txt. Only full scale shows some paper shapes, e.g. Fig. 6's D10
+# starting below its archive's best and overtaking it.
 #
 # The cache starts empty on purpose: a warm dataset/CV cache would replay
 # old QoR and hide a change in the flow. Refresh the goldens only in a
@@ -15,6 +21,15 @@ foreach(var BENCH_DIR GOLDEN_DIR WORK_DIR)
     message(FATAL_ERROR "${var} is not set")
   endif()
 endforeach()
+if(NOT DEFINED SCALE OR SCALE STREQUAL "fast")
+  set(scale_env INSIGHTALIGN_FAST=1)
+  set(golden_subdir "")
+elseif(SCALE STREQUAL "full")
+  set(scale_env --unset=INSIGHTALIGN_FAST)
+  set(golden_subdir "full/")
+else()
+  message(FATAL_ERROR "SCALE must be fast or full, not '${SCALE}'")
+endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/cache")
@@ -24,14 +39,14 @@ set(mismatched "")
 foreach(bench table4_zero_shot fig6_online_trajectory fig7_online_scatter)
   set(actual "${WORK_DIR}/${bench}.txt")
   execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E env INSIGHTALIGN_FAST=1
+    COMMAND "${CMAKE_COMMAND}" -E env ${scale_env}
             "INSIGHTALIGN_CACHE_DIR=${WORK_DIR}/cache" "${BENCH_DIR}/${bench}"
     OUTPUT_FILE "${actual}"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${bench} failed (${rc})")
   endif()
-  set(golden "${GOLDEN_DIR}/${bench}.txt")
+  set(golden "${GOLDEN_DIR}/${golden_subdir}${bench}.txt")
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                           "${golden}" "${actual}"
                   RESULT_VARIABLE differs)
