@@ -117,8 +117,7 @@ class Flow {
   /// Same flow with a fresh sta::TimingAnalyzer per STA call, the placer
   /// inline on the calling thread (run() lets the shared pool pick its
   /// workers), a from-scratch GlobalRouter, and no placement or route
-  /// reuse — the equivalence oracle for run() and the baseline in
-  /// BENCH_flow.json.
+  /// reuse — the equivalence oracle for run().
   [[nodiscard]] FlowResult run_reference(const RecipeSet& recipes) const;
 
   /// Knobs after applying `recipes` to the defaults (exposed for tests).

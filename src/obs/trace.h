@@ -8,12 +8,13 @@
 // ui.perfetto.dev (or chrome://tracing).
 //
 // Hot-path contract: tracing compiled in but *disabled* costs exactly one
-// relaxed atomic load per span site (verified by BENCH_obs.json). When
-// enabled, each thread appends events into its own chunked buffer without
-// taking any lock: the owner thread constructs the event in place and then
-// publishes it with a release store of the buffer's event count; readers
-// (snapshot / export) acquire-load the count and only walk the published
-// prefix. Buffers are registered once per thread (the only mutex, off the
+// relaxed atomic load per span site (perfbench's obs.trace_overhead_frac
+// measures the enabled cost end to end). When enabled, each thread
+// appends events into its own chunked buffer without taking any lock: the
+// owner thread constructs the event in place and then publishes it with
+// a release store of the buffer's event count; readers (snapshot /
+// export) acquire-load the count and only walk the published prefix.
+// Buffers are registered once per thread (the only mutex, off the
 // hot path) and live until process exit, so a cached thread_local pointer
 // never dangles.
 //

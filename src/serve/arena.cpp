@@ -4,17 +4,12 @@
 
 namespace vpr::serve {
 
-SessionArena::SessionArena(const align::RecipeModel& model, int capacity,
+SessionArena::SessionArena(const align::RecipeModel& model,
                            int lanes_per_session)
-    : model_(&model), capacity_(capacity), lanes_(lanes_per_session) {
-  if (capacity < 1) {
-    throw std::invalid_argument("SessionArena: capacity < 1");
-  }
+    : model_(&model), lanes_(lanes_per_session) {
   if (lanes_per_session < 1) {
     throw std::invalid_argument("SessionArena: lanes_per_session < 1");
   }
-  pool_.reserve(static_cast<std::size_t>(capacity));
-  free_.reserve(static_cast<std::size_t>(capacity));
 }
 
 align::DecodeSession* SessionArena::acquire(std::span<const double> insight) {
@@ -26,21 +21,17 @@ align::DecodeSession* SessionArena::acquire(std::span<const double> insight) {
     // never dereferences.
     session->rebind(*model_, insight);
     ++reuses_;
-    ++in_use_;
     return session;
   }
-  if (static_cast<int>(pool_.size()) >= capacity_) return nullptr;
   pool_.push_back(std::make_unique<align::DecodeSession>(
       model_->decode(insight, lanes_)));
   ++created_;
-  ++in_use_;
   return pool_.back().get();
 }
 
 void SessionArena::release(align::DecodeSession* session) {
   if (session == nullptr) return;
   free_.push_back(session);
-  --in_use_;
 }
 
 }  // namespace vpr::serve

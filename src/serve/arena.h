@@ -19,15 +19,14 @@ namespace vpr::serve {
 
 class SessionArena {
  public:
-  /// At most `capacity` sessions live at once, each with
-  /// `lanes_per_session` beam lanes.
-  SessionArena(const align::RecipeModel& model, int capacity,
-               int lanes_per_session);
+  /// Sessions have `lanes_per_session` beam lanes each. The arena sets no
+  /// bound of its own: the caller's in-flight limit caps how many are
+  /// checked out at once, and so how many are ever constructed.
+  SessionArena(const align::RecipeModel& model, int lanes_per_session);
 
   /// A session rebound to `insight` (recycled if one is free, freshly
-  /// constructed otherwise), or nullptr when all `capacity` sessions are
-  /// checked out. The arena keeps ownership; hand the pointer back with
-  /// release().
+  /// constructed otherwise). The arena keeps ownership; hand the pointer
+  /// back with release().
   [[nodiscard]] align::DecodeSession* acquire(std::span<const double> insight);
   void release(align::DecodeSession* session);
 
@@ -45,9 +44,6 @@ class SessionArena {
     return *model_;
   }
 
-  [[nodiscard]] int capacity() const noexcept { return capacity_; }
-  [[nodiscard]] int lanes_per_session() const noexcept { return lanes_; }
-  [[nodiscard]] int in_use() const noexcept { return in_use_; }
   /// Sessions constructed from scratch (allocation + zero-init).
   [[nodiscard]] long created() const noexcept { return created_; }
   /// acquire() calls served by rebinding an existing session.
@@ -55,9 +51,7 @@ class SessionArena {
 
  private:
   const align::RecipeModel* model_;
-  int capacity_;
   int lanes_;
-  int in_use_ = 0;
   long created_ = 0;
   long reuses_ = 0;
   std::vector<std::unique_ptr<align::DecodeSession>> pool_;

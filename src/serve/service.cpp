@@ -127,10 +127,7 @@ RecommendService::RecommendService(ServiceConfig config,
       model_(fixed != nullptr ? fixed : checked_model(active_)),
       config_(config),
       insight_dim_(model_->config().insight_dim),
-      arena_(*model_,
-             config.arena_capacity > 0 ? config.arena_capacity
-                                       : std::max(1, config.max_inflight),
-             2 * std::max(1, config.max_beam_width)),
+      arena_(*model_, 2 * std::max(1, config.max_beam_width)),
       queue_(config.queue_capacity) {
   if (config_.max_inflight < 1) {
     throw std::invalid_argument("RecommendService: max_inflight < 1");
@@ -140,9 +137,6 @@ RecommendService::RecommendService(ServiceConfig config,
   }
   if (config_.queue_capacity < 1) {
     throw std::invalid_argument("RecommendService: queue_capacity < 1");
-  }
-  if (config_.arena_capacity < 0) {
-    throw std::invalid_argument("RecommendService: arena_capacity < 0");
   }
   if (active_ != nullptr) {
     active_version_.store(active_->version(), std::memory_order_relaxed);
@@ -336,15 +330,6 @@ void RecommendService::admit(Request&& request,
     return;
   }
   align::DecodeSession* session = arena_.acquire(request.insight);
-  if (session == nullptr) {
-    // Reachable only when arena_capacity is configured below max_inflight
-    // (tests do this deliberately); rejected as admission backpressure.
-    ServeMetrics::get().rejected.inc();
-    n_rejected_.fetch_add(1, std::memory_order_relaxed);
-    finished_.fetch_add(1, std::memory_order_relaxed);
-    respond(request, Status::kRejected, {}, now);
-    return;
-  }
   auto& recorder = obs::TraceRecorder::instance();
   if (recorder.enabled()) {
     recorder.async_instant(

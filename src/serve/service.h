@@ -73,10 +73,6 @@ struct ServiceConfig {
   int max_beam_width = 8;
   /// Admission queue bound; pushes beyond it reject with kRejected.
   std::size_t queue_capacity = 256;
-  /// Session-arena capacity; 0 means max_inflight (the only configuration
-  /// where admission can never hit arena exhaustion). Settable below
-  /// max_inflight so tests can exercise the admit() exhaustion guard.
-  int arena_capacity = 0;
 };
 
 struct Response {
