@@ -35,6 +35,20 @@ double stage_ms(const char* name, Clock::time_point t0,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
+/// Locks a claimed memo entry. An uncontended lock records nothing; when
+/// another run holds the entry while it computes the value, the wait is
+/// recorded as a `flow.memo.wait` span inside the caller's stage span, so
+/// a trace tells waiting for a concurrent place/route from doing it.
+std::unique_lock<std::mutex> lock_memo_entry(std::mutex& mu,
+                                             const char* stage) {
+  std::unique_lock lk{mu, std::try_to_lock};
+  if (!lk.owns_lock()) {
+    VPR_TRACE_SPAN("flow.memo.wait", "flow", obs::TraceArgs{{"stage", stage}});
+    lk.lock();
+  }
+  return lk;
+}
+
 /// Technology-derived wire parasitics (per normalized die unit). Advanced
 /// nodes: thinner wires => higher resistance-dominated delay per unit, cap
 /// slightly lower.
@@ -61,17 +75,18 @@ Design::Design(netlist::DesignTraits traits)
 /// leave the placer knobs at their defaults, so successive runs on one
 /// design re-place identically; entries are evicted LRU. Each entry also
 /// keeps the routing results of its placement per router knobs: the
-/// netlist is still the pristine design netlist when routing runs and the
-/// route seed is fixed per design, so a stored result is bitwise what
-/// GlobalRouter would return. Routes are evicted with their placement,
-/// and oldest-first beyond kMaxPlacements per entry.
+/// netlist is still the pristine design netlist when routing runs, and
+/// routing is a pure function of (placement, RouterKnobs), so a stored
+/// result is bitwise what GlobalRouter would return. Routes are evicted
+/// with their placement, and oldest-first beyond kMaxPlacements per entry.
 ///
 /// Every entry is claimed once, like FlowEval's entries: `mu` is held
 /// only to look up, insert and evict, and the first run to lock a new
 /// entry computes its value while holding the entry's own mutex, so a
-/// concurrent run with the same key blocks on it and then copies the
-/// result instead of placing or routing again. Runs hold entries by
-/// shared_ptr, so an entry evicted mid-run stays valid for them.
+/// concurrent run with the same key blocks on it (a `flow.memo.wait`
+/// span) and then copies the result instead of placing or routing again.
+/// Runs hold entries by shared_ptr, so an entry evicted mid-run stays
+/// valid for them.
 struct Flow::Scratch {
   struct CachedRoute {
     explicit CachedRoute(const route::RouterKnobs& k) : knobs(k) {}
@@ -226,7 +241,7 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
     };
     if (!incremental) return run_placer(traj);
     memo = scratch_->placement_entry(knobs.place, salt, weights);
-    std::lock_guard lk{memo->mu};
+    const auto lk = lock_memo_entry(memo->mu, "place");
     if (!memo->ready) {
       // The placer appends to its trajectory, so a run retrying after a
       // throw must not start from the failed run's partial one.
@@ -300,14 +315,13 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   // router knobs, or route and store it if this run claims the entry.
   stage_start = Clock::now();
   const auto run_router = [&] {
-    route::GlobalRouter router{nl, placement, knobs.route,
-                               traits.seed ^ 0x707eULL};
+    route::GlobalRouter router{nl, placement, knobs.route};
     return router.run();
   };
   bool memo_hit = false;
   if (memo != nullptr) {
     const auto entry = scratch_->route_entry(*memo, knobs.route);
-    std::lock_guard lk{entry->mu};
+    const auto lk = lock_memo_entry(entry->mu, "route");
     memo_hit = entry->ready;
     if (!entry->ready) {
       entry->routing = run_router();

@@ -9,11 +9,8 @@ namespace vpr::route {
 
 GlobalRouter::GlobalRouter(const netlist::Netlist& nl,
                            const place::Placement& placement,
-                           RouterKnobs knobs, std::uint64_t seed)
-    : nl_(nl),
-      placement_(placement),
-      knobs_(detail::clamp_knobs(knobs)),
-      seed_(seed) {
+                           RouterKnobs knobs)
+    : nl_(nl), placement_(placement), knobs_(detail::clamp_knobs(knobs)) {
   if (placement.x.size() != static_cast<std::size_t>(nl.cell_count())) {
     throw std::invalid_argument("GlobalRouter: placement size mismatch");
   }
@@ -48,7 +45,7 @@ RoutingResult GlobalRouter::run() {
                    obs::TraceArgs{{"pins", static_cast<std::int64_t>(pins.size())}});
     capacity_ = 1e18;  // unconstrained during calibration
     for (const std::size_t i : order) {
-      walker.route_two_pin(pins[i], /*commit=*/true, 0.0, capacity_);
+      walker.route_two_pin(pins[i], 0.0, capacity_);
     }
     capacity_ = detail::calibrate_capacity(nl_, knobs_, walker.h_usage(),
                                            walker.v_usage());
@@ -61,16 +58,13 @@ RoutingResult GlobalRouter::run() {
     const double penalty =
         (1.0 + 2.0 * knobs_.congestion_effort) * (round + 1);
     for (const std::size_t i : order) {
-      pin_length[i] = walker.route_two_pin(pins[i], /*commit=*/true, penalty,
-                                           capacity_);
+      pin_length[i] = walker.route_two_pin(pins[i], penalty, capacity_);
     }
     // Overflow accounting + history update for the next round.
     const detail::RoundOverflow over =
         detail::account_overflow(walker.h_usage(), walker.v_usage(), capacity_);
     const double history_gain = 0.5 + knobs_.congestion_effort;
-    detail::bump_history(walker.h_history(), walker.v_history(),
-                         walker.h_usage(), walker.v_usage(), history_gain,
-                         capacity_);
+    walker.bump_history(history_gain, capacity_);
     result.round_overflow_edges.push_back(over.over_edges);
     result.overflow_edges = over.over_edges;
     result.total_overflow = over.total_over;

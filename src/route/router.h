@@ -12,7 +12,6 @@
 // incrementally (docs/flow_perf.md). The walk/cost/ordering mechanics live
 // in route/walk.h.
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,7 +22,7 @@ namespace vpr::route {
 
 struct RouterKnobs {
   double congestion_effort = 0.4;  // 0..1: detour willingness + penalty ramp
-  double capacity_derate = 1.0;    // usable track fraction (0.6..1.2)
+  double capacity_derate = 1.0;    // usable track fraction (0.5..1.3)
   int rounds = 3;                  // rip-up & reroute rounds
 
   friend bool operator==(const RouterKnobs&, const RouterKnobs&) = default;
@@ -53,7 +52,7 @@ struct TwoPin;
 class GlobalRouter {
  public:
   GlobalRouter(const netlist::Netlist& nl, const place::Placement& placement,
-               RouterKnobs knobs, std::uint64_t seed);
+               RouterKnobs knobs);
   ~GlobalRouter();
 
   [[nodiscard]] RoutingResult run();
@@ -65,7 +64,6 @@ class GlobalRouter {
   const netlist::Netlist& nl_;
   const place::Placement& placement_;
   RouterKnobs knobs_;
-  std::uint64_t seed_;
   int grid_;
   double capacity_;
   std::unique_ptr<detail::EdgeWalker> walker_;

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -82,10 +81,32 @@ inline void shortest_first_order(const std::vector<TwoPin>& pins,
                    });
 }
 
-/// The candidate walker over the capacitated bin grid: owns the usage and
-/// history arrays plus the per-pin scratch hoisted out of the route loops.
-/// Capacity and penalty are per-call so the calibration pre-pass and the
-/// negotiated rounds share the code.
+/// PathFinder history bump feeding the next round.
+inline void bump_history(std::vector<double>& h_history,
+                         std::vector<double>& v_history,
+                         const std::vector<double>& h_usage,
+                         const std::vector<double>& v_usage,
+                         double history_gain, double capacity) {
+  const std::size_t h_edges = h_usage.size();
+  for (std::size_t e = 0; e < h_edges; ++e) {
+    h_history[e] +=
+        history_gain * std::max(0.0, h_usage[e] - capacity) / capacity;
+    v_history[e] +=
+        history_gain * std::max(0.0, v_usage[e] - capacity) / capacity;
+  }
+}
+
+/// The candidate walker over the capacitated bin grid: owns the usage,
+/// history and cost arrays plus the per-pin scratch hoisted out of the
+/// route loops. Capacity and penalty are per-call so the calibration
+/// pre-pass and the negotiated rounds share the code.
+///
+/// Cost cache invariant: whenever a candidate is scored, every `cost` entry
+/// equals edge_cost() of its edge's current usage and history at the
+/// call's (capacity, penalty). The whole array is refilled when that pair
+/// changes or after reset(), zero_usage() or bump_history(); a commit
+/// refreshes each edge it touches. Scoring therefore sums bitwise the
+/// same summands, in the same order, as recomputing edge_cost() per visit.
 class EdgeWalker {
  public:
   /// Sizes and zeroes usage + history for `grid` and latches the clamped
@@ -93,34 +114,45 @@ class EdgeWalker {
   void reset(int grid, const RouterKnobs& knobs) {
     grid_ = grid;
     knobs_ = knobs;
-    const std::size_t h_edges =
+    const std::size_t edges =
         grid > 1 ? static_cast<std::size_t>(grid) * (grid - 1) : 0;
-    h_usage_.assign(h_edges, 0.0);
-    v_usage_.assign(h_edges, 0.0);
-    h_history_.assign(h_edges, 0.0);
-    v_history_.assign(h_edges, 0.0);
+    for (EdgeSet* set : {&h_, &v_}) {
+      set->usage.assign(edges, 0.0);
+      set->history.assign(edges, 0.0);
+      set->cost.assign(edges, 0.0);
+    }
+    costs_stale_ = true;
   }
 
   void zero_usage() {
-    std::fill(h_usage_.begin(), h_usage_.end(), 0.0);
-    std::fill(v_usage_.begin(), v_usage_.end(), 0.0);
+    std::fill(h_.usage.begin(), h_.usage.end(), 0.0);
+    std::fill(v_.usage.begin(), v_.usage.end(), 0.0);
+    costs_stale_ = true;
+  }
+
+  /// detail::bump_history on the walker's own arrays.
+  void bump_history(double history_gain, double capacity) {
+    detail::bump_history(h_.history, v_.history, h_.usage, v_.usage,
+                         history_gain, capacity);
+    costs_stale_ = true;
   }
 
   [[nodiscard]] const std::vector<double>& h_usage() const noexcept {
-    return h_usage_;
+    return h_.usage;
   }
   [[nodiscard]] const std::vector<double>& v_usage() const noexcept {
-    return v_usage_;
+    return v_.usage;
   }
-  [[nodiscard]] std::vector<double>& h_history() noexcept { return h_history_; }
-  [[nodiscard]] std::vector<double>& v_history() noexcept { return v_history_; }
 
-  /// Routes one two-pin connection, optionally committing edge usage;
-  /// returns the path length (in bin steps) via the cheapest candidate.
-  /// Each candidate is walked exactly once: the walk records its edges,
-  /// and the winner is committed by replaying the recorded list.
-  double route_two_pin(const TwoPin& pin, bool commit, double penalty,
-                       double capacity) {
+  /// Routes one two-pin connection and commits its edge usage; returns
+  /// the path length (in bin steps) via the cheapest candidate. Candidates
+  /// are scored from the cost cache in order, the first strictly cheapest
+  /// wins, and the winner is committed by re-walking its geometry.
+  double route_two_pin(const TwoPin& pin, double penalty, double capacity) {
+    if (costs_stale_ || penalty != cost_penalty_ ||
+        capacity != cost_capacity_) {
+      refill_costs(penalty, capacity);
+    }
     candidates_.clear();
     candidates_.push_back({pin.x1, pin.y0});  // L: horizontal then vertical
     candidates_.push_back({pin.x0, pin.y1});  // L: vertical then horizontal
@@ -144,93 +176,89 @@ class EdgeWalker {
         candidates_.push_back({xm, ym});
       }
     }
-    // Single walk per candidate: cost and record, then commit the winner by
-    // replaying its recorded edges instead of re-walking the geometry (the
-    // winner's usage updates cannot change its own already-summed cost).
+    // Every path cost is finite, so the first candidate beats 1e300.
     double best_cost = 1e300;
-    double best_length = 0.0;
-    best_edges_.clear();
-    for (const auto& cand : candidates_) {
-      cand_edges_.clear();
-      double length = 0.0;
-      const double cost = path_cost(pin.x0, pin.y0, pin.x1, pin.y1, cand.xm,
-                                    cand.ym, penalty, capacity, &length,
-                                    cand_edges_);
+    int best_length = 0;
+    Candidate best = candidates_.front();
+    for (const Candidate& cand : candidates_) {
+      int length = 0;
+      const double cost = path_cost(pin, cand, length);
       if (cost < best_cost) {
         best_cost = cost;
         best_length = length;
-        std::swap(best_edges_, cand_edges_);
+        best = cand;
       }
     }
-    if (commit) commit_edges(best_edges_);
+    walk(pin, best, [&](EdgeSet& set, std::size_t e) {
+      set.usage[e] += 1.0;
+      set.cost[e] = edge_cost(set.usage[e], set.history[e], capacity, penalty);
+    });
     return best_length;
   }
 
  private:
-  /// Replays a recorded edge list into the usage arrays.
-  void commit_edges(const std::vector<std::uint32_t>& edges) {
-    for (const std::uint32_t enc : edges) {
-      const std::size_t e = enc >> 1;
-      if ((enc & 1u) != 0) {
-        v_usage_[e] += 1.0;
-      } else {
-        h_usage_[e] += 1.0;
+  struct Candidate {
+    int xm, ym;
+  };
+  /// One direction's edges: edge (x,y)->(x+1,y) of h_ and edge
+  /// (x,y)->(x,y+1) of v_ both sit at index line*(grid-1)+step, where the
+  /// line is the fixed coordinate and the step the moving one.
+  struct EdgeSet {
+    std::vector<double> usage;
+    std::vector<double> history;  // PathFinder-style overflow memory
+    std::vector<double> cost;     // edge_cost() of usage + history
+  };
+
+  void refill_costs(double penalty, double capacity) {
+    for (EdgeSet* set : {&h_, &v_}) {
+      for (std::size_t e = 0; e < set->cost.size(); ++e) {
+        set->cost[e] =
+            edge_cost(set->usage[e], set->history[e], capacity, penalty);
       }
     }
+    cost_penalty_ = penalty;
+    cost_capacity_ = capacity;
+    costs_stale_ = false;
   }
 
-  /// Costs the path through midpoint (xm, ym), appending each traversed
-  /// edge (encoded (index << 1) | is_vertical, duplicates preserved) to
-  /// `edges`; returns the cost and writes the step count to *length.
-  double path_cost(int x0, int y0, int x1, int y1, int xm, int ym,
-                   double penalty, double capacity, double* length,
-                   std::vector<std::uint32_t>& edges) {
-    // Path: (x0,y0) -H-> (xm,y0) -V-> (xm,ym) -H-> (x1,ym) -V-> (x1,y1).
-    // With xm==x1 or ym==y1 this degenerates to Z and L shapes. A detour
-    // path can traverse the same edge twice; the recording keeps duplicates
-    // so a replay-commit adds the same usage as the walk costed.
+  /// Calls visit(edge_set, index) for each edge of the path through
+  /// `mid`, in order: (x0,y0) -H-> (xm,y0) -V-> (xm,ym) -H-> (x1,ym) -V->
+  /// (x1,y1). With xm==x1 or ym==y1 this degenerates to Z and L shapes. A
+  /// detour path can visit the same edge twice, and each visit counts.
+  template <typename Visit>
+  void walk(const TwoPin& pin, const Candidate& mid, Visit&& visit) {
+    const auto segment = [&](EdgeSet& set, int line, int a, int b) {
+      const std::size_t base = static_cast<std::size_t>(line) * (grid_ - 1);
+      const int hi = std::max(a, b);
+      for (int step = std::min(a, b); step < hi; ++step) {
+        visit(set, base + static_cast<std::size_t>(step));
+      }
+    };
+    segment(h_, pin.y0, pin.x0, mid.xm);
+    segment(v_, mid.xm, pin.y0, mid.ym);
+    segment(h_, mid.ym, mid.xm, pin.x1);
+    segment(v_, pin.x1, mid.ym, pin.y1);
+  }
+
+  /// Sums the cached costs along the path through `mid` in walk order;
+  /// adds its edge count to `length`.
+  double path_cost(const TwoPin& pin, const Candidate& mid, int& length) {
     double cost = 0.0;
-    double len = 0.0;
-    const auto h_seg = [&](int y, int xa, int xb) {
-      const int lo = std::min(xa, xb);
-      const int hi = std::max(xa, xb);
-      for (int x = lo; x < hi; ++x) {
-        const std::size_t e = static_cast<std::size_t>(y) * (grid_ - 1) + x;
-        cost += edge_cost(h_usage_[e], h_history_[e], capacity, penalty);
-        len += 1.0;
-        edges.push_back(static_cast<std::uint32_t>(e) << 1);
-      }
-    };
-    const auto v_seg = [&](int x, int ya, int yb) {
-      const int lo = std::min(ya, yb);
-      const int hi = std::max(ya, yb);
-      for (int y = lo; y < hi; ++y) {
-        const std::size_t e = static_cast<std::size_t>(x) * (grid_ - 1) + y;
-        cost += edge_cost(v_usage_[e], v_history_[e], capacity, penalty);
-        len += 1.0;
-        edges.push_back((static_cast<std::uint32_t>(e) << 1) | 1u);
-      }
-    };
-    h_seg(y0, x0, xm);
-    v_seg(xm, y0, ym);
-    h_seg(ym, xm, x1);
-    v_seg(x1, ym, y1);
-    if (length != nullptr) *length = len;
+    walk(pin, mid, [&](EdgeSet& set, std::size_t e) {
+      cost += set.cost[e];
+      ++length;
+    });
     return cost;
   }
 
   int grid_ = 0;
   RouterKnobs knobs_;
-  std::vector<double> h_usage_;  // edge (x,y)->(x+1,y): index y*(grid-1)+x
-  std::vector<double> v_usage_;  // edge (x,y)->(x,y+1): index x*(grid-1)+y
-  std::vector<double> h_history_;  // PathFinder-style overflow memory
-  std::vector<double> v_history_;
-  struct Candidate {
-    int xm, ym;
-  };
+  EdgeSet h_;
+  EdgeSet v_;
+  bool costs_stale_ = true;
+  double cost_penalty_ = 0.0;   // the pair the cost arrays were filled at
+  double cost_capacity_ = 0.0;
   std::vector<Candidate> candidates_;
-  std::vector<std::uint32_t> cand_edges_;  // edges of the candidate walked
-  std::vector<std::uint32_t> best_edges_;  // edges of the cheapest so far
 };
 
 /// Sizes edge capacity from the calibration pre-pass usage: headroom over
@@ -274,21 +302,6 @@ inline RoundOverflow account_overflow(const std::vector<double>& h_usage,
     }
   }
   return out;
-}
-
-/// PathFinder history bump feeding the next round.
-inline void bump_history(std::vector<double>& h_history,
-                         std::vector<double>& v_history,
-                         const std::vector<double>& h_usage,
-                         const std::vector<double>& v_usage,
-                         double history_gain, double capacity) {
-  const std::size_t h_edges = h_usage.size();
-  for (std::size_t e = 0; e < h_edges; ++e) {
-    h_history[e] +=
-        history_gain * std::max(0.0, h_usage[e] - capacity) / capacity;
-    v_history[e] +=
-        history_gain * std::max(0.0, v_usage[e] - capacity) / capacity;
-  }
 }
 
 /// Final per-net lengths, detours, total wirelength and the DRC estimate.

@@ -314,7 +314,8 @@ TEST(FlowEquiv, ConcurrentRunsOnOneFlowClaimEachRouteOnce) {
   recorder.set_enabled(false);
   std::size_t routed = 0;
   std::size_t route_spans = 0;
-  for (const obs::TraceEvent& e : recorder.snapshot()) {
+  const std::vector<obs::TraceEvent> events = recorder.snapshot();
+  for (const obs::TraceEvent& e : events) {
     if (e.name != "flow.route") continue;
     ++route_spans;
     for (const obs::TraceArg& arg : e.args) {
@@ -323,9 +324,35 @@ TEST(FlowEquiv, ConcurrentRunsOnOneFlowClaimEachRouteOnce) {
       }
     }
   }
-  recorder.clear();
   EXPECT_EQ(route_spans, kThreads * sets.size());
   EXPECT_EQ(routed, route_keys.size());
+  // A run blocked on an entry another run claimed records the wait inside
+  // its own place/route stage span. How many runs block depends on the
+  // scheduler (a few per run of this test on 4 cores), so only where the
+  // waits lie is checked.
+  for (const obs::TraceEvent& w : events) {
+    if (w.name != "flow.memo.wait") continue;
+    ASSERT_EQ(w.args.size(), 1u);
+    const std::string stage = std::get<std::string>(w.args[0].value);
+    const auto encloses = [&](const obs::TraceEvent& e) {
+      const bool stage_span = stage == "route"
+                                  ? e.name == "flow.route"
+                                  : e.name.rfind("flow.place", 0) == 0;
+      return stage_span && e.tid == w.tid && e.ts_us <= w.ts_us &&
+             w.ts_us + w.dur_us <= e.ts_us + e.dur_us;
+    };
+    EXPECT_TRUE(std::any_of(events.begin(), events.end(), encloses))
+        << "stage=" << stage << " ts=" << w.ts_us;
+  }
+  // One more run finds every entry ready and unlocked: it waits on nothing.
+  recorder.clear();
+  recorder.set_enabled(true);
+  (void)flow.run(sets[0]);
+  recorder.set_enabled(false);
+  for (const obs::TraceEvent& e : recorder.snapshot()) {
+    EXPECT_NE(e.name, "flow.memo.wait");
+  }
+  recorder.clear();
 
   for (std::size_t i = 0; i < sets.size(); ++i) {
     const FlowResult ref = flow.run_reference(sets[i]);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netlist/generator.h"
+#include "netlist/suite.h"
 #include "place/placer.h"
+#include "route/walk.h"
 
 namespace vpr::route {
 namespace {
@@ -25,9 +33,110 @@ struct Fixture {
   }
 };
 
+/// The router without the cost cache: edge_cost() is recomputed on every
+/// visit, and the winner is committed by replaying its recorded edge list.
+/// GlobalRouter must match it bitwise.
+RoutingResult reference_route(const netlist::Netlist& nl,
+                              const place::Placement& placement,
+                              RouterKnobs knobs) {
+  knobs = detail::clamp_knobs(knobs);
+  const int grid = placement.grid > 0 ? placement.grid : 16;
+  const std::size_t edges =
+      grid > 1 ? static_cast<std::size_t>(grid) * (grid - 1) : 0;
+  std::vector<double> h_usage(edges, 0.0), v_usage(edges, 0.0);
+  std::vector<double> h_history(edges, 0.0), v_history(edges, 0.0);
+  std::vector<detail::TwoPin> pins;
+  detail::decompose(nl, placement, grid, pins);
+  std::vector<std::size_t> order;
+  detail::shortest_first_order(pins, order);
+
+  const auto route_pin = [&](const detail::TwoPin& p, double penalty,
+                             double capacity) {
+    std::vector<std::pair<int, int>> mids{{p.x1, p.y0}, {p.x0, p.y1}};
+    const double effort = knobs.congestion_effort;
+    if (effort > 0.0) {
+      const int extra = 1 + static_cast<int>(std::lround(4.0 * effort));
+      const int margin = effort > 0.6 ? 2 : (effort > 0.3 ? 1 : 0);
+      const int lo_x = std::max(0, std::min(p.x0, p.x1) - margin);
+      const int hi_x = std::min(grid - 1, std::max(p.x0, p.x1) + margin);
+      const int lo_y = std::max(0, std::min(p.y0, p.y1) - margin);
+      const int hi_y = std::min(grid - 1, std::max(p.y0, p.y1) + margin);
+      for (int k = 1; k <= extra; ++k) {
+        const int xm = lo_x + (hi_x - lo_x) * k / (extra + 1);
+        const int ym = lo_y + (hi_y - lo_y) * k / (extra + 1);
+        mids.insert(mids.end(), {{xm, p.y1}, {p.x0, ym}, {xm, ym}});
+      }
+    }
+    double best_cost = 1e300;
+    std::vector<double*> best;  // usage slot per traversed edge
+    for (const auto& [xm, ym] : mids) {
+      double cost = 0.0;
+      std::vector<double*> path;
+      const auto seg = [&](bool vertical, int line, int a, int b) {
+        auto& usage = vertical ? v_usage : h_usage;
+        const auto& history = vertical ? v_history : h_history;
+        for (int t = std::min(a, b); t < std::max(a, b); ++t) {
+          const std::size_t e = static_cast<std::size_t>(line) * (grid - 1) +
+                                static_cast<std::size_t>(t);
+          cost += detail::edge_cost(usage.at(e), history.at(e), capacity,
+                                    penalty);
+          path.push_back(&usage[e]);
+        }
+      };
+      seg(false, p.y0, p.x0, xm);
+      seg(true, xm, p.y0, ym);
+      seg(false, ym, xm, p.x1);
+      seg(true, p.x1, ym, p.y1);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = std::move(path);
+      }
+    }
+    for (double* usage : best) *usage += 1.0;
+    return static_cast<double>(best.size());
+  };
+
+  for (const std::size_t i : order) route_pin(pins[i], 0.0, 1e18);
+  const double capacity =
+      detail::calibrate_capacity(nl, knobs, h_usage, v_usage);
+  RoutingResult result;
+  result.grid = grid;
+  std::vector<double> pin_length(pins.size(), 0.0);
+  for (int round = 0; round < knobs.rounds; ++round) {
+    std::fill(h_usage.begin(), h_usage.end(), 0.0);
+    std::fill(v_usage.begin(), v_usage.end(), 0.0);
+    const double penalty = (1.0 + 2.0 * knobs.congestion_effort) * (round + 1);
+    for (const std::size_t i : order) {
+      pin_length[i] = route_pin(pins[i], penalty, capacity);
+    }
+    const detail::RoundOverflow over =
+        detail::account_overflow(h_usage, v_usage, capacity);
+    detail::bump_history(h_history, v_history, h_usage, v_usage,
+                         0.5 + knobs.congestion_effort, capacity);
+    result.round_overflow_edges.push_back(over.over_edges);
+    result.overflow_edges = over.over_edges;
+    result.total_overflow = over.total_over;
+    result.max_utilization = over.max_util;
+  }
+  detail::finalize_result(nl, placement, grid, pins, pin_length, result);
+  return result;
+}
+
+void expect_same_routing(const RoutingResult& a, const RoutingResult& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.net_length, b.net_length) << what;
+  EXPECT_EQ(a.detour_factor, b.detour_factor) << what;
+  EXPECT_EQ(a.total_wirelength, b.total_wirelength) << what;
+  EXPECT_EQ(a.overflow_edges, b.overflow_edges) << what;
+  EXPECT_EQ(a.total_overflow, b.total_overflow) << what;
+  EXPECT_EQ(a.max_utilization, b.max_utilization) << what;
+  EXPECT_EQ(a.drc_violations, b.drc_violations) << what;
+  EXPECT_EQ(a.round_overflow_edges, b.round_overflow_edges) << what;
+}
+
 TEST(Router, RoutesEveryNetAtLeastHpwl) {
   Fixture fx;
-  GlobalRouter router{fx.nl, fx.placement, RouterKnobs{}, 1};
+  GlobalRouter router{fx.nl, fx.placement, RouterKnobs{}};
   const auto r = router.run();
   ASSERT_EQ(r.net_length.size(), static_cast<std::size_t>(fx.nl.net_count()));
   for (int n = 0; n < fx.nl.net_count(); ++n) {
@@ -43,8 +152,8 @@ TEST(Router, RoutesEveryNetAtLeastHpwl) {
 
 TEST(Router, DeterministicForSameInputs) {
   Fixture fx;
-  GlobalRouter a{fx.nl, fx.placement, RouterKnobs{}, 5};
-  GlobalRouter b{fx.nl, fx.placement, RouterKnobs{}, 5};
+  GlobalRouter a{fx.nl, fx.placement, RouterKnobs{}};
+  GlobalRouter b{fx.nl, fx.placement, RouterKnobs{}};
   const auto ra = a.run();
   const auto rb = b.run();
   EXPECT_EQ(ra.net_length, rb.net_length);
@@ -56,7 +165,7 @@ TEST(Router, NegotiationReducesOverflowAcrossRounds) {
   RouterKnobs knobs;
   knobs.rounds = 5;
   knobs.congestion_effort = 0.8;
-  GlobalRouter router{fx.nl, fx.placement, knobs, 3};
+  GlobalRouter router{fx.nl, fx.placement, knobs};
   const auto r = router.run();
   ASSERT_EQ(r.round_overflow_edges.size(), 5u);
   // The final round should not be (much) worse than the first.
@@ -70,8 +179,8 @@ TEST(Router, CapacityDerateIncreasesOverflow) {
   generous.capacity_derate = 1.2;
   RouterKnobs tight;
   tight.capacity_derate = 0.6;
-  GlobalRouter rg{fx.nl, fx.placement, generous, 4};
-  GlobalRouter rt{fx.nl, fx.placement, tight, 4};
+  GlobalRouter rg{fx.nl, fx.placement, generous};
+  GlobalRouter rt{fx.nl, fx.placement, tight};
   const auto a = rg.run();
   const auto b = rt.run();
   EXPECT_LE(a.overflow_edges, b.overflow_edges);
@@ -86,8 +195,8 @@ TEST(Router, EffortTradesWirelengthForOverflow) {
   RouterKnobs diligent;
   diligent.congestion_effort = 1.0;
   diligent.rounds = 5;
-  GlobalRouter rl{fx.nl, fx.placement, lazy, 6};
-  GlobalRouter rd{fx.nl, fx.placement, diligent, 6};
+  GlobalRouter rl{fx.nl, fx.placement, lazy};
+  GlobalRouter rd{fx.nl, fx.placement, diligent};
   const auto a = rl.run();
   const auto b = rd.run();
   // More effort should not yield more overflow; may cost wirelength.
@@ -98,7 +207,7 @@ TEST(Router, DrcCountTracksOverflow) {
   Fixture fx{0.85, 37};
   RouterKnobs tight;
   tight.capacity_derate = 0.6;
-  GlobalRouter router{fx.nl, fx.placement, tight, 7};
+  GlobalRouter router{fx.nl, fx.placement, tight};
   const auto r = router.run();
   if (r.total_overflow > 1.0) {
     EXPECT_GT(r.drc_violations, 0);
@@ -108,7 +217,7 @@ TEST(Router, DrcCountTracksOverflow) {
 
 TEST(Router, GridEdgeCountConsistent) {
   Fixture fx;
-  GlobalRouter router{fx.nl, fx.placement, RouterKnobs{}, 8};
+  GlobalRouter router{fx.nl, fx.placement, RouterKnobs{}};
   const auto r = router.run();
   EXPECT_EQ(r.grid, router.grid());
   EXPECT_EQ(r.edge_count(), 2 * r.grid * (r.grid - 1));
@@ -117,7 +226,7 @@ TEST(Router, GridEdgeCountConsistent) {
 TEST(Router, RejectsBadPlacement) {
   Fixture fx;
   place::Placement empty;
-  EXPECT_THROW(GlobalRouter(fx.nl, empty, RouterKnobs{}, 1),
+  EXPECT_THROW(GlobalRouter(fx.nl, empty, RouterKnobs{}),
                std::invalid_argument);
 }
 
@@ -132,10 +241,22 @@ TEST_P(RouterKnobSweep, CompletesAndCovers) {
   knobs.congestion_effort = effort;
   knobs.capacity_derate = derate;
   knobs.rounds = rounds;
-  GlobalRouter router{fx.nl, fx.placement, knobs, 11};
+  GlobalRouter router{fx.nl, fx.placement, knobs};
   const auto r = router.run();
   EXPECT_EQ(r.round_overflow_edges.size(), static_cast<std::size_t>(rounds));
   EXPECT_GT(r.total_wirelength, 0.0);
+}
+
+TEST_P(RouterKnobSweep, MatchesRecomputingReference) {
+  const auto [effort, derate, rounds] = GetParam();
+  Fixture fx{0.6, 53};
+  RouterKnobs knobs;
+  knobs.congestion_effort = effort;
+  knobs.capacity_derate = derate;
+  knobs.rounds = rounds;
+  GlobalRouter router{fx.nl, fx.placement, knobs};
+  expect_same_routing(router.run(),
+                      reference_route(fx.nl, fx.placement, knobs), "corner");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -143,6 +264,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.0, 0.5, 1.0),
                        ::testing::Values(0.6, 1.0, 1.2),
                        ::testing::Values(1, 4)));
+
+/// Every suite design at the default knobs, on its default placement.
+class RouterSuite : public ::testing::TestWithParam<int> {};
+
+TEST_P(RouterSuite, MatchesRecomputingReference) {
+  const netlist::DesignTraits traits = netlist::suite_design(GetParam());
+  const netlist::Netlist nl = netlist::generate(traits);
+  place::Placer placer{nl, place::PlacerKnobs{}, traits.seed};
+  const place::Placement placement = placer.run();
+  GlobalRouter router{nl, placement, RouterKnobs{}};
+  expect_same_routing(router.run(),
+                      reference_route(nl, placement, RouterKnobs{}),
+                      "D" + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, RouterSuite,
+                         ::testing::Range(1, netlist::kSuiteSize + 1));
 
 }  // namespace
 }  // namespace vpr::route
