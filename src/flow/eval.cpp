@@ -1,7 +1,10 @@
 #include "flow/eval.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -242,8 +245,43 @@ const FlowResult& FlowEval::probe(const Design& design) {
 void FlowEval::eval_many(
     const Design& design, std::span<const RecipeSet> sets,
     const std::function<void(std::size_t, const Qor&)>& sink) {
-  util::ThreadPool::shared().parallel_for(
-      sets.size(), [&](std::size_t i) { sink(i, eval(design, sets[i])); });
+  // Start order: the first set of each distinct placement, then the rest,
+  // each group in input order. Sets sharing placer knobs wait on one
+  // memoized placement (flow.memo.wait), so starting every distinct
+  // placement first keeps a set with a placement of its own from queueing
+  // behind that wait. The placer knobs resolve without a netlist, exactly
+  // as Flow::resolve_knobs does.
+  std::vector<place::PlacerKnobs> placements;
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> rest;
+  order.reserve(sets.size());
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    FlowKnobs knobs;
+    sets[i].apply(knobs);
+    if (std::find(placements.begin(), placements.end(), knobs.place) ==
+        placements.end()) {
+      placements.push_back(knobs.place);
+      order.push_back(i);
+    } else {
+      rest.push_back(i);
+    }
+  }
+  order.insert(order.end(), rest.begin(), rest.end());
+
+  VPR_TRACE_SPAN(
+      "flow.eval.many", "flow",
+      obs::TraceArgs{{"sets", static_cast<std::int64_t>(sets.size())},
+                     {"placements",
+                      static_cast<std::int64_t>(placements.size())}});
+  // Each body pops the next position in start order instead of running
+  // its own index: the pool hands each participant a contiguous index
+  // range, which could queue a set with a placement of its own behind a
+  // waiting set on the same participant.
+  std::atomic<std::size_t> cursor{0};
+  util::ThreadPool::shared().parallel_for(order.size(), [&](std::size_t) {
+    const std::size_t i = order[cursor.fetch_add(1, std::memory_order_relaxed)];
+    sink(i, eval(design, sets[i]));
+  });
 }
 
 FlowEvalStats FlowEval::stats() const {

@@ -77,8 +77,12 @@ class FlowEval {
   const FlowResult& probe(const Design& design);
 
   /// Evaluates `sets` (deduplicated via the cache) on the shared
-  /// ThreadPool and hands each result to sink(i, qor); sink must write to
-  /// disjoint slots.
+  /// ThreadPool and hands each result to sink(i, qor), i the set's input
+  /// index; sink must write to disjoint slots. Sets start in this order:
+  /// the first set of each distinct resolved PlacerKnobs, then the rest,
+  /// each group in input order, so a set with a placement of its own never
+  /// queues behind sets waiting on another set's placement. The order
+  /// changes only wall time: the memo is deterministic and claim-once.
   void eval_many(const Design& design, std::span<const RecipeSet> sets,
                  const std::function<void(std::size_t, const Qor&)>& sink);
 

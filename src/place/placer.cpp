@@ -98,6 +98,34 @@ Placer::Placer(const netlist::Netlist& netlist, PlacerKnobs knobs,
   const double node_scale =
       std::clamp(nl_.library().node().feature_nm / 45.0, 0.1, 1.0);
   routing_capacity_ = 1.35 + 0.75 * node_scale;
+
+  // A bin is tile-interior when every in-grid bin of its 3x3 neighborhood
+  // maps to its own tile; a cell's class in the spread step depends only
+  // on its bin, so it is looked up here instead of rechecked per cell.
+  const auto tile_of_bin = [this](int bx, int by) {
+    return (by * kTileSide / grid_) * kTileSide + (bx * kTileSide / grid_);
+  };
+  interior_tile_.assign(bin_cap_.size(), -1);
+  for (int by = 0; by < grid_; ++by) {
+    for (int bx = 0; bx < grid_; ++bx) {
+      const int tile = tile_of_bin(bx, by);
+      bool interior = true;
+      for (int dy = -1; dy <= 1 && interior; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const int nx = bx + dx;
+          const int ny = by + dy;
+          if (nx < 0 || ny < 0 || nx >= grid_ || ny >= grid_) continue;
+          if (tile_of_bin(nx, ny) != tile) {
+            interior = false;
+            break;
+          }
+        }
+      }
+      if (interior) {
+        interior_tile_[static_cast<std::size_t>(by) * grid_ + bx] = tile;
+      }
+    }
+  }
 }
 
 void Placer::for_units(std::size_t n,
@@ -125,10 +153,6 @@ int Placer::bin_of(double x, double y) const {
   const int bx = std::clamp(static_cast<int>(x * grid_), 0, grid_ - 1);
   const int by = std::clamp(static_cast<int>(y * grid_), 0, grid_ - 1);
   return by * grid_ + bx;
-}
-
-int Placer::tile_of_bin(int bx, int by) const noexcept {
-  return (by * kTileSide / grid_) * kTileSide + (bx * kTileSide / grid_);
 }
 
 void Placer::seed_initial(Placement& p) const {
@@ -286,10 +310,18 @@ void Placer::update_maps(Placement& p) const {
       const int by0 = std::clamp(static_cast<int>(bb.y0 * grid_), 0, grid_ - 1);
       const int by1 = std::clamp(static_cast<int>(bb.y1 * grid_), 0, grid_ - 1);
       const double per_bin = d / ((bx1 - bx0 + 1) * (by1 - by0 + 1));
+      // Each covered bin gets one `+= per_bin` per net, in net order; the
+      // row pointer and 4-way unroll only drop the per-bin index math.
       for (int by = by0; by <= by1; ++by) {
-        for (int bx = bx0; bx <= bx1; ++bx) {
-          demand[static_cast<std::size_t>(by) * grid_ + bx] += per_bin;
+        double* row = demand.data() + static_cast<std::size_t>(by) * grid_;
+        int bx = bx0;
+        for (; bx + 3 <= bx1; bx += 4) {
+          row[bx] += per_bin;
+          row[bx + 1] += per_bin;
+          row[bx + 2] += per_bin;
+          row[bx + 3] += per_bin;
         }
+        for (; bx <= bx1; ++bx) row[bx] += per_bin;
       }
     }
   });
@@ -390,32 +422,17 @@ void Placer::spread_step(Placement& p, int iteration) const {
         p.bin_utilization[nb] += area / std::max(bin_cap_[nb], 1e-12);
       }
     };
-    // Partition: a cell is tile-interior when every in-grid bin of its 3x3
-    // neighborhood maps to its own tile — then its reads and writes stay
-    // inside that tile and tiles can run concurrently without interacting.
+    // Partition: a cell in a tile-interior bin reads and writes only
+    // inside that tile, so tiles can run concurrently without interacting.
     // Everything else is a boundary cell, fixed up sequentially (in cell
     // order) after the tiles finish.
     for (auto& t : tile_cells) t.clear();
     boundary_cells.clear();
     for (int c = 0; c < nl_.cell_count(); ++c) {
-      const int b = bin_of(p.x[static_cast<std::size_t>(c)],
-                           p.y[static_cast<std::size_t>(c)]);
-      const int bx = b % grid_;
-      const int by = b / grid_;
-      const int tile = tile_of_bin(bx, by);
-      bool interior = true;
-      for (int dy = -1; dy <= 1 && interior; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int nx = bx + dx;
-          const int ny = by + dy;
-          if (nx < 0 || ny < 0 || nx >= grid_ || ny >= grid_) continue;
-          if (tile_of_bin(nx, ny) != tile) {
-            interior = false;
-            break;
-          }
-        }
-      }
-      if (interior) {
+      const int tile = interior_tile_[static_cast<std::size_t>(
+          bin_of(p.x[static_cast<std::size_t>(c)],
+                 p.y[static_cast<std::size_t>(c)]))];
+      if (tile >= 0) {
         tile_cells[static_cast<std::size_t>(tile)].push_back(c);
       } else {
         boundary_cells.push_back(c);
@@ -463,8 +480,9 @@ Placement Placer::run(std::span<const double> net_weights,
                                 {"workers", static_cast<std::int64_t>(
                                                 workers_)}});
   Placement p;
+  // No map build here: the force step reads only x/y, and every spread
+  // step rebuilds both maps before it reads them.
   seed_initial(p);
-  update_maps(p);
   for (int it = 0; it < knobs_.iterations; ++it) {
     const double temperature =
         1.0 - static_cast<double>(it) / knobs_.iterations;

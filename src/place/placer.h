@@ -19,7 +19,10 @@
 //  - spread step: cells whose 3x3 bin neighborhood lies inside one spatial
 //    tile are processed tile-parallel (each tile owns its bins, so the
 //    in-flight utilization updates never cross tiles); cells on tile
-//    boundaries are deferred to a sequential fixup pass in cell order;
+//    boundaries are deferred to a sequential fixup pass in cell order.
+//    Whether a bin is tile-interior depends only on the grid, so the
+//    constructor builds a per-bin table (tile id, or -1 on a boundary) and
+//    each pass classifies a cell by one lookup of its bin;
 //  - density/RUDY maps and HPWL: per-chunk partials merged in chunk order.
 
 #include <cstdint>
@@ -94,7 +97,6 @@ class Placer {
   [[nodiscard]] double total_hpwl(const Placement& p) const;
   [[nodiscard]] bool in_blockage(double x, double y) const;
   [[nodiscard]] int bin_of(double x, double y) const;
-  [[nodiscard]] int tile_of_bin(int bx, int by) const noexcept;
 
   const netlist::Netlist& nl_;
   PlacerKnobs knobs_;
@@ -105,6 +107,7 @@ class Placer {
   double bin_capacity_;            // area units per bin at 100% utilization
   std::vector<double> bin_cap_;    // per-bin capacity (blockage-derated)
   double routing_capacity_;        // RUDY demand a bin can absorb
+  std::vector<int> interior_tile_; // per bin: its tile if interior, else -1
 };
 
 }  // namespace vpr::place

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
+#include <variant>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace vpr::flow {
 namespace {
@@ -113,9 +119,9 @@ TEST(FlowEval, ProbeIsEvictedWithItsWarmFlow) {
 }
 
 TEST(FlowEval, EvalManyPopulatesEverySlot) {
-  // Every set appears 4 times, one whole copy after another, so the pool
-  // participants' contiguous ranges request the same keys at once; each
-  // key must still run the flow exactly once.
+  // Every set appears 4 times, one whole copy after another, so pool
+  // participants request the same keys at once; each key must still run
+  // the flow exactly once.
   constexpr std::size_t kUnique = 12;
   constexpr std::size_t kCopies = 4;
   FlowEval eval;
@@ -137,6 +143,83 @@ TEST(FlowEval, EvalManyPopulatesEverySlot) {
     EXPECT_GT(out[i].power, 0.0) << i;
     EXPECT_DOUBLE_EQ(out[i].power, eval.eval(design_a(), sets[i]).power) << i;
     EXPECT_EQ(out[i].power, out[i % kUnique].power) << i;
+  }
+}
+
+int recipe_id(const std::string& name) {
+  const auto& catalog = recipe_catalog();
+  for (const Recipe& r : catalog) {
+    if (r.name == name) return r.id;
+  }
+  ADD_FAILURE() << "no recipe " << name;
+  return 0;
+}
+
+TEST(FlowEval, EvalManyStartsEachDistinctPlacementFirst) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "needs a second pool participant";
+  }
+  // A and its variants A', A'', A''' differ only in optimization recipes,
+  // so they resolve to the same placer knobs and share one memoized
+  // placement; E adds place_iterations_deep, a placement of its own. In
+  // input order the pool's contiguous ranges give every participant an A
+  // set first, so all of them run or wait on A's placement and E starts
+  // only after that placement ends (2 to 4 participants). A larger design
+  // than design_a() keeps the placement long next to a pool worker's
+  // wake-up, even on a loaded host.
+  netlist::DesignTraits traits = eval_traits("evOrder", 9003);
+  traits.target_cells = 4000;
+  const Design design{traits};
+  const int setup = recipe_id("setup_focus");
+  const std::vector<RecipeSet> sets = {
+      RecipeSet::from_ids({setup}),
+      RecipeSet::from_ids({setup, recipe_id("place_iterations_deep")}),
+      RecipeSet::from_ids({setup, recipe_id("hold_aggressive")}),
+      RecipeSet::from_ids({setup, recipe_id("power_recovery_deep")}),
+      RecipeSet::from_ids({setup, recipe_id("leakage_focus")}),
+  };
+  FlowEval eval;
+  std::vector<Qor> out(sets.size());
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  eval.eval_many(design, sets,
+                 [&](std::size_t i, const Qor& q) { out[i] = q; });
+  recorder.set_enabled(false);
+  const std::vector<obs::TraceEvent> events = recorder.snapshot();
+  recorder.clear();
+
+  const obs::TraceEvent* a = nullptr;
+  const obs::TraceEvent* e = nullptr;
+  std::int64_t first_placement_end = INT64_MAX;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name == "place.run") {
+      first_placement_end =
+          std::min(first_placement_end, ev.ts_us + ev.dur_us);
+    }
+    if (ev.name != "flow.eval.miss") continue;
+    for (const obs::TraceArg& arg : ev.args) {
+      if (arg.key != "recipes") continue;
+      const auto& recipes = std::get<std::string>(arg.value);
+      if (recipes == sets[0].to_string()) a = &ev;
+      if (recipes == sets[1].to_string()) e = &ev;
+    }
+  }
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(e, nullptr);
+  EXPECT_LT(e->ts_us, a->ts_us + a->dur_us) << "E started after A ended";
+  // The first placement to end is A's (E's runs more iterations), and E
+  // must not have waited for it.
+  EXPECT_LT(e->ts_us, first_placement_end)
+      << "E started after A's placement ended";
+
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const Qor q = eval.eval(design, sets[i]);
+    EXPECT_EQ(out[i].power, q.power) << i;
+    EXPECT_EQ(out[i].tns, q.tns) << i;
+    EXPECT_EQ(out[i].wns, q.wns) << i;
+    EXPECT_EQ(out[i].area, q.area) << i;
+    EXPECT_EQ(out[i].drcs, q.drcs) << i;
   }
 }
 
