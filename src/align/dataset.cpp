@@ -70,16 +70,20 @@ OfflineDataset OfflineDataset::build(
   OfflineDataset dataset;
   dataset.designs_.resize(designs.size());
 
-  for (std::size_t d = 0; d < designs.size(); ++d) {
+  // One pool task per design: its probe, its random batch and its serial
+  // expert loop. Each design draws from its own seeded stream and writes
+  // only its own slot, so the archive does not depend on the schedule;
+  // the flows nested in a task take the pool's idle workers.
+  flow::FlowEval& eval = flow::FlowEval::shared();
+  util::ThreadPool::shared().parallel_for(designs.size(), [&](std::size_t d) {
     const flow::Design& design = *designs[d];
     DesignData& data = dataset.designs_[d];
     data.name = design.name();
 
     // Probing iteration: default recipe set, insights extracted from its
-    // trajectory (paper's "offline alignment" insight-probing phase).
-    flow::FlowEval& eval = flow::FlowEval::shared();
-    const flow::FlowResult& probe = eval.probe(design);
-    data.insight_vec = insight::analyze(design, probe);
+    // trajectory (paper's "offline alignment" insight-probing phase). The
+    // pinned result survives the LRU eviction other tasks may cause.
+    data.insight_vec = insight::analyze(design, *eval.probe_pinned(design));
 
     // Pre-draw the random recipe sets (deterministic), de-duplicated.
     // Expert-tuned entries (below) fill the remainder of the budget.
@@ -159,7 +163,7 @@ OfflineDataset OfflineDataset::build(
       }
     }
     data.finalize(config.weights);
-  }
+  });
   return dataset;
 }
 

@@ -61,7 +61,7 @@ std::vector<Recommendation> Pipeline::recommend(const flow::Design& design,
   if (idx.has_value()) {
     iv = dataset_.design(*idx).insight();
   } else {
-    const auto vec = insight::analyze(design, eval.probe(design));
+    const auto vec = insight::analyze(design, *eval.probe_pinned(design));
     iv.assign(vec.begin(), vec.end());
   }
 
@@ -94,7 +94,7 @@ DesignData Pipeline::bootstrap_design(const flow::Design& design) const {
   DesignData data;
   data.name = design.name();
   flow::FlowEval& eval = flow::FlowEval::shared();
-  data.insight_vec = insight::analyze(design, eval.probe(design));
+  data.insight_vec = insight::analyze(design, *eval.probe_pinned(design));
 
   util::Rng rng{util::hash_combine(config_.seed, 0xb007ULL)};
   std::vector<flow::RecipeSet> sets;

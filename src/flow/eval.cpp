@@ -1,7 +1,6 @@
 #include "flow/eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <vector>
@@ -225,63 +224,66 @@ Qor FlowEval::eval(const Design& design, const RecipeSet& recipes) {
 }
 
 const FlowResult& FlowEval::probe(const Design& design) {
+  return *probe_pinned(design);
+}
+
+std::shared_ptr<const FlowResult> FlowEval::probe_pinned(
+    const Design& design) {
   const std::shared_ptr<FlowHolder> holder =
       flow_for(design, fingerprint(design));
   std::lock_guard lk{holder->probe_mutex};
   EvalMetrics& metrics = EvalMetrics::get();
   if (holder->probe) {
     metrics.probe_hits.inc();
-    return *holder->probe;
+  } else {
+    VPR_TRACE_SPAN("flow.eval.probe", "flow",
+                   obs::TraceArgs{{"design", design.name()}});
+    const auto e0 = Clock::now();
+    holder->probe =
+        std::make_unique<FlowResult>(holder->flow.run(RecipeSet{}));
+    metrics.probe_misses.inc();
+    record_run(holder->probe->stage_times, seconds_since(e0));
   }
-  VPR_TRACE_SPAN("flow.eval.probe", "flow",
-                 obs::TraceArgs{{"design", design.name()}});
-  const auto e0 = Clock::now();
-  holder->probe = std::make_unique<FlowResult>(holder->flow.run(RecipeSet{}));
-  metrics.probe_misses.inc();
-  record_run(holder->probe->stage_times, seconds_since(e0));
-  return *holder->probe;
+  // Shares ownership of the holder, which owns the probe.
+  return {holder, holder->probe.get()};
 }
 
 void FlowEval::eval_many(
     const Design& design, std::span<const RecipeSet> sets,
     const std::function<void(std::size_t, const Qor&)>& sink) {
-  // Start order: the first set of each distinct placement, then the rest,
-  // each group in input order. Sets sharing placer knobs wait on one
-  // memoized placement (flow.memo.wait), so starting every distinct
-  // placement first keeps a set with a placement of its own from queueing
-  // behind that wait. The placer knobs resolve without a netlist, exactly
-  // as Flow::resolve_knobs does.
+  // Two waves: the first set of each distinct placement, then the rest,
+  // each in input order. Sets sharing placer knobs share one memoized
+  // placement, so the second wave finds every placement ready instead of
+  // blocking on it (flow.memo.wait) while the placement it waits for
+  // could use that thread. The placer knobs resolve without a netlist,
+  // exactly as Flow::resolve_knobs does.
   std::vector<place::PlacerKnobs> placements;
-  std::vector<std::size_t> order;
+  std::vector<std::size_t> first;
   std::vector<std::size_t> rest;
-  order.reserve(sets.size());
   for (std::size_t i = 0; i < sets.size(); ++i) {
     FlowKnobs knobs;
     sets[i].apply(knobs);
     if (std::find(placements.begin(), placements.end(), knobs.place) ==
         placements.end()) {
       placements.push_back(knobs.place);
-      order.push_back(i);
+      first.push_back(i);
     } else {
       rest.push_back(i);
     }
   }
-  order.insert(order.end(), rest.begin(), rest.end());
 
   VPR_TRACE_SPAN(
       "flow.eval.many", "flow",
       obs::TraceArgs{{"sets", static_cast<std::int64_t>(sets.size())},
                      {"placements",
                       static_cast<std::int64_t>(placements.size())}});
-  // Each body pops the next position in start order instead of running
-  // its own index: the pool hands each participant a contiguous index
-  // range, which could queue a set with a placement of its own behind a
-  // waiting set on the same participant.
-  std::atomic<std::size_t> cursor{0};
-  util::ThreadPool::shared().parallel_for(order.size(), [&](std::size_t) {
-    const std::size_t i = order[cursor.fetch_add(1, std::memory_order_relaxed)];
-    sink(i, eval(design, sets[i]));
-  });
+  const auto run_wave = [&](const std::vector<std::size_t>& wave) {
+    util::ThreadPool::shared().parallel_for(wave.size(), [&](std::size_t w) {
+      sink(wave[w], eval(design, sets[wave[w]]));
+    });
+  };
+  run_wave(first);
+  run_wave(rest);
 }
 
 FlowEvalStats FlowEval::stats() const {

@@ -76,13 +76,19 @@ class FlowEval {
   /// the result, is then evicted; probing it again re-runs the flow).
   const FlowResult& probe(const Design& design);
 
+  /// probe() for callers that run while other designs are evaluated: the
+  /// pointer shares ownership of the design's warm Flow, so the result
+  /// stays valid however many designs are touched meanwhile.
+  std::shared_ptr<const FlowResult> probe_pinned(const Design& design);
+
   /// Evaluates `sets` (deduplicated via the cache) on the shared
   /// ThreadPool and hands each result to sink(i, qor), i the set's input
-  /// index; sink must write to disjoint slots. Sets start in this order:
-  /// the first set of each distinct resolved PlacerKnobs, then the rest,
-  /// each group in input order, so a set with a placement of its own never
-  /// queues behind sets waiting on another set's placement. The order
-  /// changes only wall time: the memo is deterministic and claim-once.
+  /// index; sink must write to disjoint slots. Runs in two waves: the
+  /// first set of each distinct resolved PlacerKnobs, then the rest (each
+  /// in input order), so no set of the batch waits on a placement another
+  /// set of the batch is computing while that placement could use its
+  /// thread. The order changes only wall time: the memo is deterministic
+  /// and claim-once.
   void eval_many(const Design& design, std::span<const RecipeSet> sets,
                  const std::function<void(std::size_t, const Qor&)>& sink);
 

@@ -1,6 +1,7 @@
 #include "flow/flow.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -85,14 +86,16 @@ Design::Design(netlist::DesignTraits traits)
 /// entry computes its value while holding the entry's own mutex, so a
 /// concurrent run with the same key blocks on it (a `flow.memo.wait`
 /// span) and then copies the result instead of placing or routing again.
-/// Runs hold entries by shared_ptr, so an entry evicted mid-run stays
-/// valid for them.
+/// A value never changes once `ready` is set, so a run that finds the
+/// entry ready copies it without the lock: concurrent hits on one entry
+/// never wait on each other. Runs hold entries by shared_ptr, so an entry
+/// evicted mid-run stays valid for them.
 struct Flow::Scratch {
   struct CachedRoute {
     explicit CachedRoute(const route::RouterKnobs& k) : knobs(k) {}
     const route::RouterKnobs knobs;
     std::mutex mu;  // held by the claiming run while it routes
-    bool ready = false;
+    std::atomic<bool> ready{false};  // set under mu once final
     route::RoutingResult routing;
   };
 
@@ -104,7 +107,7 @@ struct Flow::Scratch {
     const std::uint64_t salt;  // seed salt (initial vs timing-driven pass)
     const std::vector<double> weights;
     std::mutex mu;  // held by the claiming run while it places
-    bool ready = false;
+    std::atomic<bool> ready{false};  // set under mu once final
     place::Placement placement;
     place::PlaceTrajectory trajectory;
     // Guarded by Scratch::mu.
@@ -241,14 +244,16 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
     };
     if (!incremental) return run_placer(traj);
     memo = scratch_->placement_entry(knobs.place, salt, weights);
-    const auto lk = lock_memo_entry(memo->mu, "place");
-    if (!memo->ready) {
-      // The placer appends to its trajectory, so a run retrying after a
-      // throw must not start from the failed run's partial one.
-      place::PlaceTrajectory fresh;
-      memo->placement = run_placer(fresh);
-      memo->trajectory = std::move(fresh);
-      memo->ready = true;
+    if (!memo->ready.load(std::memory_order_acquire)) {
+      const auto lk = lock_memo_entry(memo->mu, "place");
+      if (!memo->ready.load(std::memory_order_relaxed)) {
+        // The placer appends to its trajectory, so a run retrying after a
+        // throw must not start from the failed run's partial one.
+        place::PlaceTrajectory fresh;
+        memo->placement = run_placer(fresh);
+        memo->trajectory = std::move(fresh);
+        memo->ready.store(true, std::memory_order_release);
+      }
     }
     traj = memo->trajectory;
     return memo->placement;
@@ -321,11 +326,14 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   bool memo_hit = false;
   if (memo != nullptr) {
     const auto entry = scratch_->route_entry(*memo, knobs.route);
-    const auto lk = lock_memo_entry(entry->mu, "route");
-    memo_hit = entry->ready;
-    if (!entry->ready) {
-      entry->routing = run_router();
-      entry->ready = true;
+    memo_hit = entry->ready.load(std::memory_order_acquire);
+    if (!memo_hit) {
+      const auto lk = lock_memo_entry(entry->mu, "route");
+      memo_hit = entry->ready.load(std::memory_order_relaxed);
+      if (!memo_hit) {
+        entry->routing = run_router();
+        entry->ready.store(true, std::memory_order_release);
+      }
     }
     result.routing = entry->routing;
   } else {

@@ -1,9 +1,28 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <exception>
 
 namespace vpr::util {
+
+namespace {
+
+/// CPUs the calling thread may run on. hardware_concurrency() counts every
+/// CPU of the host, so a process confined by its affinity mask (taskset, a
+/// cpuset-limited container) would otherwise start a worker per host CPU.
+unsigned usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+}  // namespace
 
 struct ThreadPool::Job {
   struct Range {
@@ -11,7 +30,6 @@ struct ThreadPool::Job {
     std::size_t end = 0;
   };
 
-  std::size_t n = 0;
   const std::function<void(std::size_t)>* body = nullptr;
   std::vector<Range> ranges;  // one per participant slot
   std::mutex range_mutex;     // guards ranges + failed + error
@@ -19,13 +37,13 @@ struct ThreadPool::Job {
   std::exception_ptr error;
   std::size_t slots = 0;    // participant capacity; guarded by pool mutex_
   std::size_t claimed = 0;  // slots handed out; guarded by pool mutex_
-  std::size_t active = 0;   // participants running; guarded by pool mutex_
+  std::size_t active = 0;   // workers running; guarded by pool mutex_
+  std::condition_variable drained;  // active reached 0; under pool mutex_
 };
 
 ThreadPool::ThreadPool(unsigned workers) {
   if (workers == 0) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    workers = hw - 1;  // the calling thread is the last participant
+    workers = usable_cpus() - 1;  // the caller is the last participant
   }
   threads_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
@@ -96,25 +114,29 @@ void ThreadPool::participate(Job& job, std::size_t slot) {
   }
 }
 
+ThreadPool::Job* ThreadPool::newest_open_job() const {
+  for (auto it = jobs_.rbegin(); it != jobs_.rend(); ++it) {
+    if ((*it)->claimed < (*it)->slots) return *it;
+  }
+  return nullptr;
+}
+
 void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
   std::unique_lock lk{mutex_};
   for (;;) {
+    Job* job = nullptr;
     wake_.wait(lk, [&] {
-      return stop_ ||
-             (job_ != nullptr && generation_ != seen &&
-              job_->claimed < job_->slots);
+      return stop_ || (job = newest_open_job()) != nullptr;
     });
     if (stop_) return;
-    seen = generation_;
-    Job& job = *job_;
-    const std::size_t slot = job.claimed++;
-    ++job.active;
+    const std::size_t slot = job->claimed++;
+    ++job->active;
     lk.unlock();
-    participate(job, slot);
+    participate(*job, slot);
     lk.lock();
-    --job.active;
-    done_.notify_all();
+    // Notified under the lock: the caller cannot see active == 0, return
+    // and destroy the job before this thread lets go of mutex_.
+    if (--job->active == 0) job->drained.notify_one();
   }
 }
 
@@ -127,18 +149,12 @@ void ThreadPool::parallel_for(std::size_t n,
     participants = std::min<std::size_t>(participants, max_workers);
   }
   participants = std::min(participants, n);
-
-  // Run inline when parallelism cannot help, or when another parallel_for
-  // is already in flight (including nested calls from a worker thread —
-  // blocking here would deadlock the pool).
-  std::unique_lock run_lock{run_mutex_, std::try_to_lock};
-  if (participants <= 1 || !run_lock.owns_lock()) {
+  if (participants <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
   Job job;
-  job.n = n;
   job.body = &body;
   job.slots = participants;
   job.claimed = 1;  // slot 0 belongs to the calling thread
@@ -154,16 +170,16 @@ void ThreadPool::parallel_for(std::size_t n,
 
   {
     std::lock_guard lk{mutex_};
-    job_ = &job;
-    ++generation_;
+    jobs_.push_back(&job);
   }
-  wake_.notify_all();
+  for (std::size_t s = 1; s < participants; ++s) wake_.notify_one();
 
   participate(job, 0);
 
   std::unique_lock lk{mutex_};
-  job_ = nullptr;  // no further claims; drain the workers that joined
-  done_.wait(lk, [&] { return job.active == 0; });
+  // No further claims; drain the workers that joined.
+  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+  job.drained.wait(lk, [&] { return job.active == 0; });
   lk.unlock();
 
   if (job.error) std::rethrow_exception(job.error);

@@ -10,16 +10,23 @@
 // remaining range (chunked work stealing), so uneven bodies (flow runs on
 // designs of different sizes) still balance.
 //
+// Several parallel_for calls may be in flight at once: nested calls from
+// inside a body (a placement inside a FlowEval batch inside an archive
+// build) and calls from unrelated threads each publish their own job. An
+// idle worker claims a free participant slot in the newest job that has
+// one, so the innermost work in flight gets the idle workers first.
+//
 // Guarantees:
 //  - every index is executed exactly once (unless a body throws);
-//  - an exception in the body cancels the remaining indices and the first
-//    exception is rethrown on the calling thread;
-//  - the calling thread participates in the work, so a pool with zero
-//    workers — or a pool busy with another job — still completes, and
-//    nested parallel_for calls cannot deadlock (they run inline).
+//  - an exception in the body cancels the remaining indices of that call
+//    and the first exception is rethrown on that call's caller (a nested
+//    call's exception reaches the body that made the nested call);
+//  - the calling thread always runs its own job, and then waits only for
+//    the workers that joined that job. A worker in a job runs only that
+//    job's indices, so a pool with zero workers or with every worker busy
+//    still completes, and nested parallel_for calls cannot deadlock.
 
 #include <cstddef>
-#include <cstdint>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -30,8 +37,9 @@ namespace vpr::util {
 
 class ThreadPool {
  public:
-  /// Starts `workers` background threads (0 => hardware_concurrency - 1;
-  /// the calling thread is the remaining participant).
+  /// Starts `workers` background threads (0 => one fewer than the CPUs
+  /// this thread may run on; the calling thread is the remaining
+  /// participant).
   explicit ThreadPool(unsigned workers = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -56,18 +64,16 @@ class ThreadPool {
  private:
   struct Job;
   void worker_loop();
+  Job* newest_open_job() const;
   static void participate(Job& job, std::size_t slot);
   static bool take_batch(Job& job, std::size_t slot, std::size_t& begin,
                          std::size_t& end);
 
-  std::vector<std::thread> threads_;
-  std::mutex mutex_;               // guards job_/generation_/stop_ + Job claims
-  std::condition_variable wake_;   // workers park here between jobs
-  std::condition_variable done_;   // caller waits for claimed workers to drain
-  Job* job_ = nullptr;
-  std::uint64_t generation_ = 0;
+  std::mutex mutex_;              // guards jobs_, stop_ + every Job's claims
+  std::condition_variable wake_;  // workers park here between jobs
+  std::vector<Job*> jobs_;        // jobs in flight, oldest first
   bool stop_ = false;
-  std::mutex run_mutex_;  // one parallel_for at a time; others run inline
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace vpr::util

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 
 #include "align/cache.h"
 #include "insight/insight.h"
+#include "netlist/suite.h"
+#include "util/rng.h"
 
 namespace vpr::align {
 namespace {
@@ -128,6 +133,41 @@ TEST(OfflineDataset, ValidatesInputs) {
   bad.points_per_design = 1;
   EXPECT_THROW((void)OfflineDataset::build(two_designs(), bad),
                std::invalid_argument);
+}
+
+TEST(OfflineDataset, BuildMatchesParentFingerprint) {
+  // The bench harnesses' FAST archive over the first four suite designs,
+  // hashed bit for bit: insight vectors, recipe sets, power, TNS and
+  // score. The constant was captured with the designs built one after
+  // another; building them concurrently must not move a bit.
+  std::vector<std::unique_ptr<flow::Design>> owned;
+  std::vector<const flow::Design*> designs;
+  const auto suite = netlist::benchmark_suite();
+  for (std::size_t k = 0; k < 4; ++k) {
+    netlist::DesignTraits t = suite[k];
+    t.target_cells = std::min(t.target_cells, 1200);
+    owned.push_back(std::make_unique<flow::Design>(t));
+    designs.push_back(owned.back().get());
+  }
+  DatasetConfig config;
+  config.points_per_design = 24;
+  config.seed = 0xda7a5e7ULL;
+  const OfflineDataset ds = OfflineDataset::build(designs, config);
+
+  std::uint64_t h = 0;
+  const auto mix = [&h](double v) {
+    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(v));
+  };
+  for (const DesignData& data : ds.designs()) {
+    for (const double v : data.insight_vec) mix(v);
+    for (const DataPoint& p : data.points) {
+      h = util::hash_combine(h, p.recipes.to_u64());
+      mix(p.power);
+      mix(p.tns);
+      mix(p.score);
+    }
+  }
+  EXPECT_EQ(h, 0x338da4de549b26d6ULL) << std::hex << "0x" << h;
 }
 
 TEST(DatasetCache, SaveLoadRoundTrip) {

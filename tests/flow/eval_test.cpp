@@ -155,39 +155,71 @@ int recipe_id(const std::string& name) {
   return 0;
 }
 
+/// A and its variants A', A'', A''' differ only in optimization recipes,
+/// so they resolve to the same placer knobs and share one memoized
+/// placement; E adds place_iterations_deep, a placement of its own. The
+/// design is larger than design_a() to keep a placement long next to a
+/// pool worker's wake-up, even on a loaded host.
+struct PlacementBatch {
+  Design design{[] {
+    netlist::DesignTraits traits = eval_traits("evOrder", 9003);
+    traits.target_cells = 4000;
+    return traits;
+  }()};
+  std::vector<RecipeSet> sets = {
+      RecipeSet::from_ids({recipe_id("setup_focus")}),
+      RecipeSet::from_ids(
+          {recipe_id("setup_focus"), recipe_id("place_iterations_deep")}),
+      RecipeSet::from_ids(
+          {recipe_id("setup_focus"), recipe_id("hold_aggressive")}),
+      RecipeSet::from_ids(
+          {recipe_id("setup_focus"), recipe_id("power_recovery_deep")}),
+      RecipeSet::from_ids(
+          {recipe_id("setup_focus"), recipe_id("leakage_focus")}),
+  };
+
+  /// eval_many over `sets` with tracing on; returns the trace.
+  std::vector<obs::TraceEvent> traced_eval_many(FlowEval& eval,
+                                                std::vector<Qor>& out) const {
+    out.assign(sets.size(), Qor{});
+    auto& recorder = obs::TraceRecorder::instance();
+    recorder.clear();
+    recorder.set_enabled(true);
+    eval.eval_many(design, sets,
+                   [&](std::size_t i, const Qor& q) { out[i] = q; });
+    recorder.set_enabled(false);
+    std::vector<obs::TraceEvent> events = recorder.snapshot();
+    recorder.clear();
+    return events;
+  }
+
+  /// Every slot of `out` equals a plain eval() of its set.
+  void expect_slots_match_eval(FlowEval& eval,
+                               const std::vector<Qor>& out) const {
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      const Qor q = eval.eval(design, sets[i]);
+      EXPECT_EQ(out[i].power, q.power) << i;
+      EXPECT_EQ(out[i].tns, q.tns) << i;
+      EXPECT_EQ(out[i].wns, q.wns) << i;
+      EXPECT_EQ(out[i].area, q.area) << i;
+      EXPECT_EQ(out[i].drcs, q.drcs) << i;
+    }
+  }
+};
+
 TEST(FlowEval, EvalManyStartsEachDistinctPlacementFirst) {
   if (std::thread::hardware_concurrency() < 2) {
     GTEST_SKIP() << "needs a second pool participant";
   }
-  // A and its variants A', A'', A''' differ only in optimization recipes,
-  // so they resolve to the same placer knobs and share one memoized
-  // placement; E adds place_iterations_deep, a placement of its own. In
-  // input order the pool's contiguous ranges give every participant an A
-  // set first, so all of them run or wait on A's placement and E starts
-  // only after that placement ends (2 to 4 participants). A larger design
-  // than design_a() keeps the placement long next to a pool worker's
-  // wake-up, even on a loaded host.
-  netlist::DesignTraits traits = eval_traits("evOrder", 9003);
-  traits.target_cells = 4000;
-  const Design design{traits};
-  const int setup = recipe_id("setup_focus");
-  const std::vector<RecipeSet> sets = {
-      RecipeSet::from_ids({setup}),
-      RecipeSet::from_ids({setup, recipe_id("place_iterations_deep")}),
-      RecipeSet::from_ids({setup, recipe_id("hold_aggressive")}),
-      RecipeSet::from_ids({setup, recipe_id("power_recovery_deep")}),
-      RecipeSet::from_ids({setup, recipe_id("leakage_focus")}),
-  };
+  // In input order the pool's contiguous ranges would give every
+  // participant an A set first, so all of them would run or wait on A's
+  // placement and E would start only after that placement ends.
+  const PlacementBatch batch;
+  const auto& sets = batch.sets;
   FlowEval eval;
-  std::vector<Qor> out(sets.size());
-  auto& recorder = obs::TraceRecorder::instance();
-  recorder.clear();
-  recorder.set_enabled(true);
-  eval.eval_many(design, sets,
-                 [&](std::size_t i, const Qor& q) { out[i] = q; });
-  recorder.set_enabled(false);
-  const std::vector<obs::TraceEvent> events = recorder.snapshot();
-  recorder.clear();
+  std::vector<Qor> out;
+  const std::vector<obs::TraceEvent> events =
+      batch.traced_eval_many(eval, out);
 
   const obs::TraceEvent* a = nullptr;
   const obs::TraceEvent* e = nullptr;
@@ -212,15 +244,21 @@ TEST(FlowEval, EvalManyStartsEachDistinctPlacementFirst) {
   // must not have waited for it.
   EXPECT_LT(e->ts_us, first_placement_end)
       << "E started after A's placement ended";
+  batch.expect_slots_match_eval(eval, out);
+}
 
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    const Qor q = eval.eval(design, sets[i]);
-    EXPECT_EQ(out[i].power, q.power) << i;
-    EXPECT_EQ(out[i].tns, q.tns) << i;
-    EXPECT_EQ(out[i].wns, q.wns) << i;
-    EXPECT_EQ(out[i].area, q.area) << i;
-    EXPECT_EQ(out[i].drcs, q.drcs) << i;
+TEST(FlowEval, EvalManyNeverWaitsOnAPlacement) {
+  // A' to A''' start once A's placement is ready, so no run of the batch
+  // blocks on another run's memo entry.
+  const PlacementBatch batch;
+  FlowEval eval;
+  std::vector<Qor> out;
+  for (const obs::TraceEvent& ev : batch.traced_eval_many(eval, out)) {
+    if (ev.name != "flow.memo.wait") continue;
+    ADD_FAILURE() << "waited on a memo entry, stage "
+                  << std::get<std::string>(ev.args.at(0).value);
   }
+  batch.expect_slots_match_eval(eval, out);
 }
 
 TEST(FlowEval, ClearDropsEntriesAndStats) {

@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace vpr::util {
@@ -94,10 +103,96 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool{4};
   std::atomic<int> total{0};
   pool.parallel_for(4, [&](std::size_t) {
-    // Nested call finds the pool busy and runs inline on this worker.
+    // Every nested call publishes its own job; its caller runs it and
+    // waits only for the workers that joined it.
     pool.parallel_for(8, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ThreadPool, NestedParallelForUsesIdleWorkers) {
+  // Two outer bodies occupy two of the five participants; the three idle
+  // workers must join the nested jobs. Each nested job's bodies block at a
+  // rendezvous until the job has started bodies on two threads, which a
+  // nested call run inline on its caller never does.
+  ThreadPool pool{4};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<int> timeouts{0};
+  pool.parallel_for(2, [&](std::size_t) {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::thread::id> threads;
+    pool.parallel_for(4, [&](std::size_t) {
+      std::unique_lock lk{mu};
+      threads.insert(std::this_thread::get_id());
+      cv.notify_all();
+      if (!cv.wait_until(lk, deadline, [&] { return threads.size() >= 2; })) {
+        ++timeouts;
+      }
+    });
+  });
+  EXPECT_EQ(timeouts.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareWorkers) {
+  ThreadPool pool{4};
+  constexpr std::size_t kN = 5000;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  const auto caller = [&](std::vector<std::atomic<int>>& hits) {
+    for (int r = 0; r < kRounds; ++r) {
+      pool.parallel_for(kN, [&](std::size_t i) { ++hits[i]; });
+    }
+  };
+  std::thread a{caller, std::ref(hits_a)};
+  std::thread b{caller, std::ref(hits_b)};
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << i;
+  }
+}
+
+TEST(ThreadPool, NestedExceptionReachesItsOwnCaller) {
+  ThreadPool pool{4};
+  constexpr std::size_t kOuter = 4;
+  std::vector<std::string> caught(kOuter);
+  pool.parallel_for(kOuter, [&](std::size_t o) {
+    try {
+      pool.parallel_for(64, [&](std::size_t i) {
+        if (i == 37) throw std::runtime_error(std::to_string(o));
+      });
+    } catch (const std::runtime_error& e) {
+      caught[o] = e.what();
+    }
+  });
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(caught[o], std::to_string(o));
+  }
+}
+
+TEST(ThreadPool, DefaultSizeFollowsCpuAffinity) {
+  // Pin this thread to one CPU it may already use; a default-sized pool
+  // then has the caller as its only participant and starts no thread.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  unsigned workers = 0;
+  {
+    const ThreadPool pool{};
+    workers = pool.workers();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(workers, 0u);
 }
 
 TEST(ThreadPool, SharedPoolIsSingleton) {
