@@ -74,8 +74,8 @@ using namespace vpr;
       "                                      next registry version\n"
       "  serve-bench --connect [HOST:]PORT [--connections N] [--window N]\n"
       "              [--requests N] [--width K] [--deadline MS]\n"
-      "              [--priority interactive|normal|batch] [--no-verify]\n"
-      "              [--json FILE]           network load generator\n"
+      "              [--no-verify] [--json FILE]\n"
+      "                                      network load generator\n"
       "  metrics [--format json|prometheus]   dump the metrics registry\n"
       "  trace-merge FILE... --out MERGED  fuse trace dumps from several\n"
       "                                    processes (server + clients) into\n"
@@ -256,15 +256,6 @@ int cmd_recommend(const util::Args& args) {
   return 0;
 }
 
-serve::Priority parse_priority(const std::string& name) {
-  if (name == "interactive") return serve::Priority::kInteractive;
-  if (name == "normal") return serve::Priority::kNormal;
-  if (name == "batch") return serve::Priority::kBatch;
-  throw cli::UsageError(
-      "serve-bench: --priority must be interactive, normal or batch, got '" +
-      name + "'");
-}
-
 int cmd_serve_bench(const util::Args& args) {
   const auto connect = args.get("connect");
   if (!connect) {
@@ -285,7 +276,6 @@ int cmd_serve_bench(const util::Args& args) {
     throw cli::UsageError("serve-bench: --deadline must be >= 0 ms");
   }
   opts.deadline_ms = static_cast<std::uint32_t>(deadline);
-  opts.priority = parse_priority(args.get_or("priority", "normal"));
   opts.verify = !args.has("no-verify");
   opts.json_path = args.get_or("json", "");
   if (opts.connections < 1 || opts.window < 1 || opts.requests < 1 ||

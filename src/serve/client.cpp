@@ -198,7 +198,6 @@ int run_client_bench(const ClientBenchOptions& opts) {
             next_tag.fetch_add(1, std::memory_order_relaxed);
         if (tag >= total) return false;
         wire::RequestFrame request;
-        request.priority = opts.priority;
         request.beam_width = opts.beam_width;
         request.deadline_ms = opts.deadline_ms;
         request.client_tag = tag;

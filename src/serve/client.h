@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/router.h"
 #include "util/json.h"
 
 namespace vpr::serve {
@@ -44,7 +43,6 @@ struct ClientBenchOptions {
   int beam_width = 5;
   /// Per-request deadline sent on the wire; 0 = none.
   std::uint32_t deadline_ms = 0;
-  Priority priority = Priority::kNormal;
   /// Bitwise-verify kOk responses against a local oracle over the default
   /// seeded model. Disable when the server serves a trained model.
   bool verify = true;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -19,8 +18,6 @@ namespace {
 struct RouterMetrics {
   obs::Counter& routed;
   obs::Counter& shed;
-  obs::Counter& rebalances;
-  obs::Gauge& utilization;
 
   static RouterMetrics& get() {
     static auto& r = obs::MetricsRegistry::instance();
@@ -29,37 +26,27 @@ struct RouterMetrics {
         r.counter("serve.shed",
                   "requests refused by the overload policy (fast kRejected "
                   "with a retry_after_ms hint)"),
-        r.counter("serve.rebalances", "router drain-rate refresh passes"),
-        r.gauge("serve.router.utilization",
-                "aggregate queued / aggregate queue capacity"),
     };
     return m;
   }
 };
 
-/// EWMA weight for new drain-rate samples; high enough to follow load
-/// shifts within a few rebalance passes, low enough to ride out one noisy
-/// interval.
-constexpr double kDrainAlpha = 0.3;
+/// Requests queued or decoding on one replica.
+std::size_t backlog(const RecommendService& replica) {
+  return replica.queue_depth() +
+         static_cast<std::size_t>(std::max(0, replica.inflight()));
+}
 
-/// Fallback estimate of per-request service time before any completion has
-/// been measured (cold start): pessimistic, so early Retry-After hints err
-/// toward backing off.
-constexpr double kColdStartMsPerRequest = 10.0;
+/// The replica's measured service time per request.
+double ms_per_request(const RecommendService& replica) {
+  const std::uint64_t finished = replica.finished();
+  const double busy_ms = replica.busy_ms();
+  return finished > 0 && busy_ms > 0.0
+             ? busy_ms / static_cast<double>(finished)
+             : Router::kColdStartMsPerRequest;
+}
 
 }  // namespace
-
-const char* to_string(Priority priority) noexcept {
-  switch (priority) {
-    case Priority::kInteractive:
-      return "interactive";
-    case Priority::kNormal:
-      return "normal";
-    case Priority::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
 
 std::uint64_t RouterCounters::total_completed() const {
   return std::accumulate(replica.begin(), replica.end(), std::uint64_t{0},
@@ -79,7 +66,6 @@ util::Json RouterCounters::to_json() const {
   util::Json j = util::Json::object();
   j["routed"] = static_cast<double>(routed);
   j["shed"] = static_cast<double>(shed);
-  j["rebalances"] = static_cast<double>(rebalances);
   j["fleet_p99_ms"] = fleet_p99_ms;
   j["fleet_p999_ms"] = fleet_p999_ms;
   j["fleet_latency_count"] = static_cast<double>(fleet_latency_count);
@@ -105,90 +91,50 @@ Router::Router(RouterConfig config, const align::RecipeModel* fixed,
   if (config_.replicas < 1) {
     throw std::invalid_argument("Router: replicas < 1");
   }
-  if (config_.shed_batch > config_.shed_normal) {
-    throw std::invalid_argument(
-        "Router: shed_batch threshold above shed_normal (batch must shed "
-        "first)");
-  }
-  if (config_.rebalance_interval < 1) {
-    throw std::invalid_argument("Router: rebalance_interval < 1");
-  }
   fleet_.reserve(static_cast<std::size_t>(config_.replicas));
   for (int i = 0; i < config_.replicas; ++i) {
-    ReplicaState state;
-    state.service =
+    fleet_.push_back(
         fixed != nullptr
             ? std::make_unique<RecommendService>(*fixed, config_.replica)
-            : std::make_unique<RecommendService>(registry_, config_.replica);
-    state.last_refresh = Clock::now();
-    fleet_.push_back(std::move(state));
+            : std::make_unique<RecommendService>(registry_, config_.replica));
   }
 }
 
 Router::~Router() { stop(); }
-
-double Router::shed_threshold(Priority priority) const noexcept {
-  switch (priority) {
-    case Priority::kInteractive:
-      return 1.0;  // only a fully saturated fleet sheds interactive
-    case Priority::kNormal:
-      return config_.shed_normal;
-    case Priority::kBatch:
-      return config_.shed_batch;
-  }
-  return 1.0;
-}
 
 double Router::utilization() const {
   const double capacity =
       static_cast<double>(fleet_.size()) *
       static_cast<double>(config_.replica.queue_capacity);
   std::size_t queued = 0;
-  for (const ReplicaState& r : fleet_) queued += r.service->queue_depth();
+  for (const auto& r : fleet_) queued += r->queue_depth();
   return capacity > 0.0 ? static_cast<double>(queued) / capacity : 1.0;
 }
 
 double Router::estimated_drain_ms() const {
-  std::size_t backlog = 0;
-  double rate = 0.0;  // completions per second, fleet-wide
-  for (const ReplicaState& r : fleet_) {
-    backlog += r.service->queue_depth() +
-               static_cast<std::size_t>(std::max(0, r.service->inflight()));
-    rate += r.drain_rate;
+  std::size_t total = 0;
+  double rate = 0.0;  // requests per millisecond, fleet-wide
+  for (const auto& r : fleet_) {
+    total += backlog(*r);
+    rate += 1.0 / ms_per_request(*r);
   }
-  if (backlog == 0) return 0.0;
-  if (rate <= 0.0) {
-    return static_cast<double>(backlog) * kColdStartMsPerRequest;
-  }
-  return 1000.0 * static_cast<double>(backlog) / rate;
+  return total == 0 ? 0.0 : static_cast<double>(total) / rate;
 }
 
 std::vector<int> Router::placement_order() const {
   std::vector<int> order(fleet_.size());
   std::iota(order.begin(), order.end(), 0);
-  std::vector<double> score(fleet_.size());
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    const ReplicaState& r = fleet_[i];
-    const double backlog =
-        static_cast<double>(r.service->queue_depth()) +
-        static_cast<double>(std::max(0, r.service->inflight()));
-    // Backlog normalized by how fast this replica actually drains; an
-    // unmeasured replica gets weight 1 so cold fleets degrade to pure
-    // depth-based placement.
-    const double weight = r.drain_rate > 0.0 ? r.drain_rate : 1.0;
-    score[i] = backlog / weight;
-  }
+  std::vector<std::size_t> depth(fleet_.size());
+  for (std::size_t i = 0; i < fleet_.size(); ++i) depth[i] = backlog(*fleet_[i]);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return score[static_cast<std::size_t>(a)] <
-           score[static_cast<std::size_t>(b)];
+    return depth[static_cast<std::size_t>(a)] <
+           depth[static_cast<std::size_t>(b)];
   });
   return order;
 }
 
-void Router::shed(std::vector<double>&& insight, Priority priority,
-                  std::promise<Response>& promise, double retry_after_ms,
-                  std::uint64_t trace_id) {
-  insight.clear();  // the request is not going anywhere
+std::future<Response> Router::shed(double retry_after_ms,
+                                   std::uint64_t trace_id) {
   shed_.fetch_add(1, std::memory_order_relaxed);
   RouterMetrics::get().shed.inc();
   Response response;
@@ -199,16 +145,16 @@ void Router::shed(std::vector<double>&& insight, Priority priority,
   auto& recorder = obs::TraceRecorder::instance();
   if (recorder.enabled()) {
     recorder.async_instant("serve.shed", "serve", response.trace_id,
-                           {{"priority", to_string(priority)},
-                            {"retry_after_ms", response.retry_after_ms}});
+                           {{"retry_after_ms", response.retry_after_ms}});
   }
+  std::promise<Response> promise;
   promise.set_value(std::move(response));
+  return promise.get_future();
 }
 
 std::future<Response> Router::submit(std::vector<double> insight,
                                      int beam_width,
                                      std::chrono::milliseconds deadline,
-                                     Priority priority,
                                      std::uint64_t trace_id) {
   // Validate before placement so malformed input throws (a caller bug)
   // rather than consuming shed/queue budget.
@@ -221,116 +167,63 @@ std::future<Response> Router::submit(std::vector<double> insight,
 
   if (stopped_.load(std::memory_order_acquire)) {
     std::promise<Response> promise;
-    auto future = promise.get_future();
     Response response;
     response.status = Status::kShutdown;
     promise.set_value(std::move(response));
-    return future;
+    return promise.get_future();
   }
 
-  // Overload policy, cheapest checks first. Aggregate utilization gates by
-  // priority class; deadline slack sheds requests that would time out in
-  // the queue anyway.
-  const double util = utilization();
-  if (util >= shed_threshold(priority)) {
-    std::promise<Response> promise;
-    auto future = promise.get_future();
-    shed(std::move(insight), priority, promise, estimated_drain_ms(),
-         trace_id);
-    return future;
+  // Overload policy: shed at the utilization threshold, and shed a
+  // request whose deadline is shorter than the estimated wait (it would
+  // time out in the queue anyway).
+  if (utilization() >= kShedUtilization) {
+    return shed(estimated_drain_ms(), trace_id);
   }
-  if (deadline != kNoDeadline && config_.deadline_slack_factor > 0.0) {
+  if (deadline != kNoDeadline) {
     const double wait_ms = estimated_drain_ms();
-    if (static_cast<double>(deadline.count()) <
-        config_.deadline_slack_factor * wait_ms) {
-      std::promise<Response> promise;
-      auto future = promise.get_future();
-      shed(std::move(insight), priority, promise, wait_ms, trace_id);
-      return future;
+    if (static_cast<double>(deadline.count()) < wait_ms) {
+      return shed(wait_ms, trace_id);
     }
   }
 
-  // Depth-based placement: cheapest replica first, falling through to the
-  // next when a queue fills between the score pass and the push.
+  // Smallest backlog first, falling through to the next replica when a
+  // queue fills between the backlog read and the push.
   for (const int idx : placement_order()) {
-    ReplicaState& r = fleet_[static_cast<std::size_t>(idx)];
-    if (r.service->queue_depth() >= config_.replica.queue_capacity) continue;
-    auto future =
-        r.service->submit(std::move(insight), beam_width, deadline, trace_id);
-    const std::uint64_t placed =
-        routed_.fetch_add(1, std::memory_order_relaxed) + 1;
+    RecommendService& r = *fleet_[static_cast<std::size_t>(idx)];
+    if (r.queue_depth() >= config_.replica.queue_capacity) continue;
+    auto future = r.submit(std::move(insight), beam_width, deadline, trace_id);
+    routed_.fetch_add(1, std::memory_order_relaxed);
     RouterMetrics::get().routed.inc();
-    if (placed % config_.rebalance_interval == 0) rebalance();
     return future;
   }
 
-  // Every queue is full: shed even interactive traffic (the alternative is
-  // unbounded buffering, which the serve layer never does).
-  std::promise<Response> promise;
-  auto future = promise.get_future();
-  shed(std::move(insight), priority, promise, estimated_drain_ms(), trace_id);
-  return future;
+  // Every queue is full: shed (the alternative is unbounded buffering,
+  // which the serve layer never does).
+  return shed(estimated_drain_ms(), trace_id);
 }
 
 obs::QuantileSketch Router::fleet_latency_sketch() const {
   obs::QuantileSketch fleet;
-  for (const ReplicaState& r : fleet_) {
-    fleet.merge(r.service->latency_sketch());
-  }
+  for (const auto& r : fleet_) fleet.merge(r->latency_sketch());
   return fleet;
 }
 
 Response Router::recommend(std::vector<double> insight, int beam_width,
-                           std::chrono::milliseconds deadline,
-                           Priority priority) {
-  return submit(std::move(insight), beam_width, deadline, priority).get();
-}
-
-void Router::rebalance() {
-  std::lock_guard lock(rebalance_mutex_);
-  const auto now = Clock::now();
-  auto& registry = obs::MetricsRegistry::instance();
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    ReplicaState& r = fleet_[i];
-    const std::uint64_t finished = r.service->finished();
-    const double dt =
-        std::chrono::duration<double>(now - r.last_refresh).count();
-    if (dt > 0.0) {
-      const double instant =
-          static_cast<double>(finished - r.last_finished) / dt;
-      r.drain_rate = r.drain_rate == 0.0
-                         ? instant
-                         : (1.0 - kDrainAlpha) * r.drain_rate +
-                               kDrainAlpha * instant;
-    }
-    r.last_finished = finished;
-    r.last_refresh = now;
-    const std::string prefix = "serve.replica." + std::to_string(i);
-    registry.gauge(prefix + ".queue_depth")
-        .set(static_cast<double>(r.service->queue_depth()));
-    registry.gauge(prefix + ".inflight")
-        .set(static_cast<double>(r.service->inflight()));
-    registry.gauge(prefix + ".drain_rate").set(r.drain_rate);
-  }
-  RouterMetrics::get().utilization.set(utilization());
-  rebalances_.fetch_add(1, std::memory_order_relaxed);
-  RouterMetrics::get().rebalances.inc();
+                           std::chrono::milliseconds deadline) {
+  return submit(std::move(insight), beam_width, deadline).get();
 }
 
 void Router::stop() {
   stopped_.store(true, std::memory_order_release);
-  for (ReplicaState& r : fleet_) r.service->stop();
+  for (const auto& r : fleet_) r->stop();
 }
 
 RouterCounters Router::counters() const {
   RouterCounters c;
   c.routed = routed_.load(std::memory_order_relaxed);
   c.shed = shed_.load(std::memory_order_relaxed);
-  c.rebalances = rebalances_.load(std::memory_order_relaxed);
   c.replica.reserve(fleet_.size());
-  for (const ReplicaState& r : fleet_) {
-    c.replica.push_back(r.service->counters());
-  }
+  for (const auto& r : fleet_) c.replica.push_back(r->counters());
   const obs::QuantileSketch fleet = fleet_latency_sketch();
   if (fleet.count() > 0) {
     c.fleet_p99_ms = fleet.quantile(0.99);

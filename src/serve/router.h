@@ -3,71 +3,43 @@
 // its own batcher thread, admission queue and SessionArena — behind one
 // Router that places requests and sheds load.
 //
-// Placement is depth-based: every submit scores each replica by its
-// current backlog (queued + decoding) normalized by an estimated drain
-// rate, and the request goes to the cheapest replica. The drain-rate
-// estimates are refreshed by a periodic rebalance pass (every
-// rebalance_interval placements) that measures each replica's completion
-// throughput since the previous pass and folds it into an EWMA — the
-// solve/assign/rebalance cadence of epa-ng's pipeline scheduler, applied
-// to replica weights instead of pipeline stages. A replica that stalls
-// (slow tick, long requests) sees its weight decay and stops attracting
-// traffic until it drains.
+// Placement: each submit goes to the replica with the smallest backlog
+// (queued + decoding), trying the next-smallest when that queue is full.
 //
-// Overload policy: requests carry a Priority class. When aggregate queue
-// utilization crosses a class's shed threshold, the router refuses the
-// request *immediately* with kRejected plus a Retry-After-style hint
-// (estimated backlog drain time) instead of letting it queue — batch
-// traffic sheds first, interactive traffic last, and nothing is ever
-// buffered unboundedly. A request whose deadline is shorter than the
-// estimated wait is likewise shed up front (deadline slack admission):
-// decoding it would only steal capacity from requests that can still make
-// their deadlines.
+// Shedding: when aggregate queue utilization reaches kShedUtilization, or
+// every queue is full, the router refuses the request *immediately* with
+// kRejected plus a Retry-After-style hint (estimated backlog drain time)
+// instead of letting it queue, so nothing is ever buffered unboundedly. A
+// request whose deadline is shorter than the estimated wait is likewise
+// shed up front (deadline-slack admission): decoding it would only steal
+// capacity from requests that can still make their deadlines.
+//
+// The drain estimate divides the fleet backlog by the sum of the
+// replicas' service rates, each measured by its own batcher as time spent
+// admitting and decoding per finished request.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "serve/service.h"
 
 namespace vpr::serve {
 
-/// Scheduling class, best service first. Lower value = higher priority.
-enum class Priority {
-  kInteractive = 0,  // shed only when every queue is full
-  kNormal = 1,
-  kBatch = 2,  // shed first under load
-};
-
-[[nodiscard]] const char* to_string(Priority priority) noexcept;
-
 struct RouterConfig {
   /// Number of replicas (each owns a batcher thread + SessionArena).
   int replicas = 2;
   /// Per-replica service configuration.
   ServiceConfig replica;
-  /// Aggregate queue utilization in [0, 1] above which kNormal / kBatch
-  /// submissions are shed. kInteractive sheds only when placement finds
-  /// every queue full.
-  double shed_normal = 0.75;
-  double shed_batch = 0.50;
-  /// Placements between drain-rate refresh passes.
-  std::uint64_t rebalance_interval = 64;
-  /// Shed a deadline-carrying request up front when its remaining slack is
-  /// below `deadline_slack_factor` x the estimated queue wait (it would
-  /// time out anyway). 0 disables slack admission.
-  double deadline_slack_factor = 1.0;
 };
 
 /// Router-level load counters plus a per-replica ServiceCounters snapshot.
 struct RouterCounters {
-  std::uint64_t routed = 0;      // placed on a replica
-  std::uint64_t shed = 0;        // refused by the overload policy
-  std::uint64_t rebalances = 0;  // drain-rate refresh passes run
+  std::uint64_t routed = 0;  // placed on a replica
+  std::uint64_t shed = 0;    // refused by the overload policy
   /// Fleet tail latency from merging every replica's QuantileSketch — the
   /// honest cross-replica p99/p99.9 (a mean of per-replica p99s is not a
   /// fleet p99). fleet_latency_count is the merged observation count.
@@ -84,9 +56,13 @@ struct RouterCounters {
 
 class Router {
  public:
-  using Clock = RecommendService::Clock;
   static constexpr std::chrono::milliseconds kNoDeadline =
       RecommendService::kNoDeadline;
+  /// Aggregate queue utilization at which submissions are shed.
+  static constexpr double kShedUtilization = 0.75;
+  /// Service time assumed for a replica that has not finished a request
+  /// yet: pessimistic, so early Retry-After hints err toward backing off.
+  static constexpr double kColdStartMsPerRequest = 10.0;
 
   Router(const align::RecipeModel& model, RouterConfig config);
   /// Registry-backed fleet: every replica starts on registry->current()
@@ -109,18 +85,12 @@ class Router {
   [[nodiscard]] std::future<Response> submit(
       std::vector<double> insight, int beam_width,
       std::chrono::milliseconds deadline = kNoDeadline,
-      Priority priority = Priority::kNormal, std::uint64_t trace_id = 0);
+      std::uint64_t trace_id = 0);
 
   /// Blocking submit().get().
   [[nodiscard]] Response recommend(
       std::vector<double> insight, int beam_width,
-      std::chrono::milliseconds deadline = kNoDeadline,
-      Priority priority = Priority::kNormal);
-
-  /// Refresh per-replica drain-rate estimates and the exported
-  /// serve.replica.<i>.* gauges now (also runs automatically every
-  /// rebalance_interval placements).
-  void rebalance();
+      std::chrono::milliseconds deadline = kNoDeadline);
 
   /// Stop every replica (drain, then join). Idempotent.
   void stop();
@@ -131,7 +101,7 @@ class Router {
   }
   /// Direct replica access for tests (pause/resume, counters).
   [[nodiscard]] RecommendService& replica(int i) {
-    return *fleet_.at(static_cast<std::size_t>(i)).service;
+    return *fleet_.at(static_cast<std::size_t>(i));
   }
   [[nodiscard]] const RouterConfig& config() const noexcept {
     return config_;
@@ -141,8 +111,11 @@ class Router {
   /// Merge of every replica's full-history latency sketch: the fleet tail
   /// distribution (cross-replica p99/p99.9 with relative-error bounds).
   [[nodiscard]] obs::QuantileSketch fleet_latency_sketch() const;
-  /// Estimated milliseconds to drain the current backlog at the measured
-  /// completion rate — the Retry-After hint attached to shed responses.
+  /// Estimated milliseconds to drain the current backlog: fleet backlog
+  /// divided by the sum of the replicas' service rates, each replica's
+  /// rate being finished() / busy_ms() (kColdStartMsPerRequest until it
+  /// has measured one). The Retry-After hint on shed responses and the
+  /// wait that deadline-slack admission compares against.
   [[nodiscard]] double estimated_drain_ms() const;
   /// The registry behind a registry-backed fleet (nullptr for the
   /// fixed-model constructor).
@@ -152,34 +125,23 @@ class Router {
   }
 
  private:
-  struct ReplicaState {
-    std::unique_ptr<RecommendService> service;
-    /// EWMA of completions per second, refreshed by rebalance().
-    double drain_rate = 0.0;
-    std::uint64_t last_finished = 0;
-    Clock::time_point last_refresh{};
-  };
-
   /// Both public constructors delegate here; exactly one of `fixed` /
   /// `registry` is set.
   Router(RouterConfig config, const align::RecipeModel* fixed,
          std::shared_ptr<ModelRegistry> registry);
 
-  [[nodiscard]] double shed_threshold(Priority priority) const noexcept;
-  void shed(std::vector<double>&& insight, Priority priority,
-            std::promise<Response>& promise, double retry_after_ms,
-            std::uint64_t trace_id);
-  /// Replica indices sorted by ascending load score.
+  /// A kRejected response, resolved already, with the retry hint.
+  [[nodiscard]] std::future<Response> shed(double retry_after_ms,
+                                           std::uint64_t trace_id);
+  /// Replica indices sorted by ascending backlog.
   [[nodiscard]] std::vector<int> placement_order() const;
 
   std::shared_ptr<ModelRegistry> registry_;  // null = fixed model
   RouterConfig config_;
   std::size_t insight_dim_ = 0;
-  std::vector<ReplicaState> fleet_;
-  mutable std::mutex rebalance_mutex_;
+  std::vector<std::unique_ptr<RecommendService>> fleet_;
   std::atomic<std::uint64_t> routed_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> rebalances_{0};
   std::atomic<bool> stopped_{false};
 };
 

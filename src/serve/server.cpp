@@ -29,6 +29,7 @@ struct NetMetrics {
   obs::Counter& requests;
   obs::Counter& protocol_errors;
   obs::Counter& bad_requests;
+  obs::Counter& setup_failures;
 
   static NetMetrics& get() {
     static auto& r = obs::MetricsRegistry::instance();
@@ -40,6 +41,9 @@ struct NetMetrics {
         r.counter("serve.net.bad_requests",
                   "well-framed requests with invalid contents "
                   "(answered kBadRequest)"),
+        r.counter("serve.net.setup_failures",
+                  "connections closed because their threads or buffers "
+                  "could not be created"),
     };
     return m;
   }
@@ -108,6 +112,10 @@ void Server::start_listening() {
     }
   }
 
+  // Register the serve.net.* series now: the acceptor must not make its
+  // first allocation for them while a connection is failing for want of
+  // memory.
+  (void)NetMetrics::get();
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
@@ -119,13 +127,14 @@ ServerStats Server::stats() const {
   s.requests = requests_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
+  s.setup_failures = setup_failures_.load(std::memory_order_relaxed);
   return s;
 }
 
 std::string Server::healthz_json() const {
   const bool draining = closing_.load(std::memory_order_acquire);
   const double utilization = router_.utilization();
-  const bool overloaded = utilization >= config_.router.shed_normal;
+  const bool overloaded = utilization >= Router::kShedUtilization;
   auto doc = util::Json::object();
   doc["status"] = draining      ? "draining"
                   : overloaded  ? "overloaded"
@@ -146,6 +155,7 @@ std::string Server::statusz_json() const {
   server["requests"] = s.requests;
   server["protocol_errors"] = s.protocol_errors;
   server["bad_requests"] = s.bad_requests;
+  server["setup_failures"] = s.setup_failures;
   server["port"] = port_;
   server["draining"] = closing_.load(std::memory_order_acquire);
   doc["server"] = std::move(server);
@@ -176,17 +186,41 @@ void Server::accept_loop() {
     connections_total_.fetch_add(1, std::memory_order_relaxed);
     NetMetrics::get().connections.inc();
 
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->pending = std::make_unique<util::MpmcQueue<Pending>>(kMaxPipelined);
-    Connection& ref = *conn;
-    {
-      std::lock_guard lock(connections_mutex_);
-      connections_.push_back(std::move(conn));
+    try {
+      start_connection(fd);
+    } catch (const std::exception&) {
+      // std::system_error (no thread) or std::bad_alloc: refuse this
+      // connection, not the server. Nothing here may allocate.
+      ::close(fd);
+      setup_failures_.fetch_add(1, std::memory_order_relaxed);
+      NetMetrics::get().setup_failures.inc();
     }
+    reap_finished();
+  }
+}
+
+void Server::start_connection(int fd) {
+  auto conn = std::make_unique<Connection>();
+  conn->fd = fd;
+  conn->pending = std::make_unique<util::MpmcQueue<Pending>>(kMaxPipelined);
+  Connection& ref = *conn;
+  {
+    std::lock_guard lock(connections_mutex_);
+    connections_.push_back(std::move(conn));
+  }
+  try {
     ref.reader = std::thread([this, &ref] { reader_loop(ref); });
     ref.writer = std::thread([this, &ref] { writer_loop(ref); });
-    reap_finished();
+  } catch (...) {
+    if (ref.reader.joinable()) {
+      ::shutdown(fd, SHUT_RDWR);  // the reader sees EOF and exits
+      ref.reader.join();
+    }
+    // Only this thread adds or removes connections while it accepts, so
+    // the half-built one is still the last.
+    std::lock_guard lock(connections_mutex_);
+    connections_.pop_back();
+    throw;
   }
 }
 
@@ -271,7 +305,7 @@ void Server::reader_loop(Connection& conn) {
       pending.future = router_.submit(
           std::move(request->insight), request->beam_width,
           std::chrono::milliseconds(request->deadline_ms),
-          request->priority, request->trace_id);
+          request->trace_id);
     } catch (const std::invalid_argument&) {
       // Malformed contents from a remote peer are traffic, not a server
       // bug: answer kBadRequest and keep the connection.

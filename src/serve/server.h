@@ -12,6 +12,9 @@
 // writer, never the router. A connection may pipeline up to
 // kMaxPipelined requests; beyond that the reader stops reading, pushing
 // backpressure into the kernel socket buffer and ultimately the client.
+// A connection whose threads or buffers cannot be created (thread limit,
+// address-space limit) is closed at once and counted in
+// ServerStats::setup_failures; the acceptor keeps accepting.
 //
 // Admin surface: stats-query frames (wire::kStatsQueryFrame) are
 // answered off the decode queue — like version probes — with the JSON
@@ -62,6 +65,9 @@ struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t bad_requests = 0;
+  /// Connections closed at accept because their reader/writer threads or
+  /// buffers could not be created; the server keeps accepting.
+  std::uint64_t setup_failures = 0;
 };
 
 class Server {
@@ -121,6 +127,10 @@ class Server {
   };
 
   void accept_loop();
+  /// Build a connection for `fd` and start its reader and writer. On a
+  /// throw nothing is left behind: a started reader is joined and no
+  /// Connection is kept; the caller still owns and closes `fd`.
+  void start_connection(int fd);
   void reader_loop(Connection& conn);
   void writer_loop(Connection& conn);
   /// Join and erase connections whose threads have both exited.
@@ -144,6 +154,7 @@ class Server {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> bad_requests_{0};
+  std::atomic<std::uint64_t> setup_failures_{0};
 };
 
 }  // namespace vpr::serve

@@ -426,6 +426,15 @@ void RecommendService::forward_batch(std::span<const align::BatchStep> steps,
   n_batched_lanes_.fetch_add(steps.size(), std::memory_order_relaxed);
 }
 
+void RecommendService::add_busy(Clock::time_point since) {
+  busy_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               since)
+              .count()),
+      std::memory_order_relaxed);
+}
+
 void RecommendService::batcher_loop() {
   obs::TraceRecorder::instance().set_thread_name("batcher");
   std::vector<Inflight> inflight;
@@ -441,6 +450,7 @@ void RecommendService::batcher_loop() {
 
   while (true) {
     wait_if_paused();
+    auto busy_since = Clock::now();
     // Batch boundary: adopt a newly published version before admitting
     // anything, so every request in this tick's admissions pins it.
     maybe_swap();
@@ -455,8 +465,10 @@ void RecommendService::batcher_loop() {
       // Re-check the pause flag so pause() freezes admission too; the
       // request's deadline keeps running while held here.
       wait_if_paused();
+      busy_since = Clock::now();  // the blocking pop was a wait, not work
       maybe_swap();
       admit(std::move(request), inflight);
+      add_busy(busy_since);
       continue;
     }
 
@@ -532,6 +544,7 @@ void RecommendService::batcher_loop() {
       }
     }
 
+    add_busy(busy_since);
     std::erase_if(inflight, [&](Inflight& flight) {
       if (!flight.decoder->done()) return false;
       finish(flight, Status::kOk);

@@ -199,10 +199,18 @@ class RecommendService {
   [[nodiscard]] int inflight() const noexcept {
     return inflight_now_.load(std::memory_order_relaxed);
   }
-  /// Completions since construction (all statuses), for drain-rate
-  /// estimation without a registry round-trip.
+  /// Completions since construction (all statuses).
   [[nodiscard]] std::uint64_t finished() const noexcept {
     return finished_.load(std::memory_order_relaxed);
+  }
+  /// Milliseconds the batcher has spent admitting and decoding, waits
+  /// excluded. busy_ms() / finished() is this replica's measured service
+  /// time per request. A tick's time is added before the requests it
+  /// decoded to completion are answered, so a kOk response is already
+  /// accounted for when its future resolves.
+  [[nodiscard]] double busy_ms() const noexcept {
+    return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) *
+           1e-6;
   }
 
   /// Version serving new admissions (0 on a fixed-model service).
@@ -244,6 +252,8 @@ class RecommendService {
   void maybe_swap();
   void admit(Request&& request, std::vector<Inflight>& inflight);
   void forward_batch(std::span<const align::BatchStep> steps, double* probs);
+  /// Add the time since `since` to busy_ns_ (batcher thread).
+  void add_busy(Clock::time_point since);
   void finish(Inflight& flight, Status status);
   static void respond(Request& request, Status status,
                       std::vector<align::BeamCandidate> candidates,
@@ -289,6 +299,7 @@ class RecommendService {
   bool any_submitted_ = false;
   std::atomic<int> inflight_now_{0};
   std::atomic<std::uint64_t> finished_{0};
+  std::atomic<std::uint64_t> busy_ns_{0};
   std::atomic<std::uint64_t> active_version_{0};
   std::atomic<std::uint64_t> n_swaps_{0};
   /// Publish->adoption latency accumulators, guarded by counters_mutex_.

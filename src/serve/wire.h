@@ -11,7 +11,8 @@
 //        doubles (the bitwise-equivalence guarantee survives the wire:
 //        log probabilities arrive exactly as the server computed them)
 //
-// Request payload:  u8 priority, u16 beam_width, u32 deadline_ms
+// Request payload:  u8 priority (validated, ignored: the server has one
+//                   service class), u16 beam_width, u32 deadline_ms
 //                   (0 = none), u64 client_tag, u64 trace_id (0 = let the
 //                   server originate one; nonzero ids are minted by
 //                   obs::TraceRecorder::next_id() on the client and
@@ -52,8 +53,20 @@
 #include <string>
 #include <vector>
 
-#include "serve/router.h"
 #include "serve/service.h"
+
+namespace vpr::serve {
+
+/// The request frame's priority byte. Decoding rejects values above
+/// kBatch; the server accepts every valid value and serves all requests
+/// alike, so old clients that set it still parse and are served.
+enum class Priority {
+  kInteractive = 0,
+  kNormal = 1,
+  kBatch = 2,
+};
+
+}  // namespace vpr::serve
 
 namespace vpr::serve::wire {
 

@@ -6,15 +6,21 @@
 // dropping the connection, corrupt framing must drop it, admin probes
 // (version/stats) interleaved mid-stream must preserve pipeline order,
 // client-originated trace ids must survive into the server's exported
-// trace (the cross-process merge acceptance), and stop() must drain
+// trace (the cross-process merge acceptance), stop() must drain
 // every response already admitted — the SIGTERM guarantee the CI smoke
-// relies on.
+// relies on — and a connection whose threads cannot be created must be
+// closed without taking the server down.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -107,10 +114,13 @@ TEST(Server, PipelinedRoundTripMatchesBeamSearchBitwise) {
   ASSERT_GT(server.port(), 0);
 
   const int fd = connect_loopback(server.port());
-  // Pipeline all 17 without reading a single response first.
+  // Pipeline all 17 without reading a single response first. The wire's
+  // priority byte cycles through every valid value (0..2): the server
+  // accepts each and serves them all alike.
   for (std::size_t i = 0; i < insights.size(); ++i) {
     ASSERT_TRUE(send_request(fd, insights[i], kWidth,
-                             static_cast<std::uint64_t>(i)));
+                             static_cast<std::uint64_t>(i),
+                             static_cast<Priority>(i % 3)));
   }
   std::set<std::uint64_t> tags_seen;
   for (std::size_t i = 0; i < insights.size(); ++i) {
@@ -245,8 +255,7 @@ TEST(Server, StopDrainsEveryAdmittedResponse) {
   ::close(fd);
 
   // After the drain the router is stopped too.
-  auto late = server.router().submit(insights[0], 2, Router::kNoDeadline,
-                                     Priority::kInteractive);
+  auto late = server.router().submit(insights[0], 2);
   EXPECT_EQ(late.get().status, Status::kShutdown);
 }
 
@@ -463,6 +472,123 @@ TEST(Server, ClientTraceIdSpansProcessesAfterMerge) {
   // admit/batch/finish at minimum: the server really continued the span
   // rather than just echoing the id.
   EXPECT_GE(server_events, 3U);
+}
+
+/// Address space left under the lowered RLIMIT_AS: room for accept's
+/// small allocations, too little for a thread stack.
+constexpr std::size_t kAddressHeadroom = std::size_t{1} << 20;
+
+/// This process's VmSize in bytes, 0 when /proc is unreadable.
+std::size_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(7))) * 1024;
+    }
+  }
+  return 0;
+}
+
+std::size_t default_thread_stack_bytes() {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  std::size_t bytes = 0;
+  pthread_attr_getstacksize(&attr, &bytes);
+  pthread_attr_destroy(&attr);
+  return bytes;
+}
+
+/// Whether a soft RLIMIT_AS of VmSize + kAddressHeadroom makes a
+/// thread-stack mapping fail on this host. Probed in a forked child (a
+/// process, not a thread) so this process keeps its limit; the child only
+/// makes system calls.
+bool address_limit_blocks_thread_stacks() {
+  const std::size_t vm = vm_size_bytes();
+  const std::size_t stack = default_thread_stack_bytes();
+  if (vm == 0 || stack <= kAddressHeadroom) return false;
+  const pid_t pid = ::fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_AS, &limit) != 0) ::_exit(2);
+    limit.rlim_cur = vm + kAddressHeadroom;
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(2);
+    void* mapped = ::mmap(nullptr, stack, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    ::_exit(mapped == MAP_FAILED ? 0 : 1);
+  }
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return false;
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+/// The death-test child: a connection that arrives while no thread stack
+/// fits in the address space is closed, and the server keeps serving
+/// both an older connection and a newer one. Returns the exit code
+/// (0 = pass).
+int serve_through_thread_creation_failure() {
+  const auto model = test_model();
+  const auto insights = bench_suite_insights(model.config().insight_dim);
+  ServerConfig config;
+  config.router.replicas = 1;
+  Server server{model, config};
+  const auto served = [&](int fd, std::uint64_t tag) {
+    if (!send_request(fd, insights[0], 2, tag)) return false;
+    const auto response = recv_response(fd);
+    return response.has_value() && response->status == Status::kOk;
+  };
+
+  // One request first, on a connection that stays open: every server
+  // thread has made its start-up allocations before the limit drops (and
+  // no exited thread has left a cached stack that a new thread could
+  // reuse without mapping one), so the limit can only break the next
+  // connection's set-up.
+  const int warm = connect_loopback(server.port());
+  if (!served(warm, 1)) return 5;
+
+  rlimit saved{};
+  if (::getrlimit(RLIMIT_AS, &saved) != 0) return 2;
+  rlimit lowered = saved;
+  lowered.rlim_cur = vm_size_bytes() + kAddressHeadroom;
+  if (::setrlimit(RLIMIT_AS, &lowered) != 0) return 2;
+  const int refused = connect_loopback(server.port());
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(refused, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  char byte = 0;
+  const ssize_t got = ::recv(refused, &byte, 1, 0);  // 0 = orderly close
+  ::close(refused);
+  if (::setrlimit(RLIMIT_AS, &saved) != 0) return 2;
+  if (got != 0) return 3;
+  for (int i = 0; i < 2000 && server.stats().setup_failures < 1; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  if (server.stats().setup_failures != 1) return 4;
+
+  const int fresh = connect_loopback(server.port());
+  const bool ok = served(fresh, 2) && served(warm, 3);
+  ::close(fresh);
+  ::close(warm);
+  server.stop();
+  return ok ? 0 : 6;
+}
+
+TEST(ServerDeathTest, ThreadCreationFailureClosesOnlyThatConnection) {
+#if defined(INSIGHTALIGN_SANITIZED) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes reserve and map address space of "
+                  "their own, so RLIMIT_AS cannot single out thread stacks";
+#endif
+  if (!address_limit_blocks_thread_stacks()) {
+    GTEST_SKIP() << "a soft RLIMIT_AS does not make a thread-stack mapping "
+                    "fail on this host";
+  }
+  // Re-executed child: no thread has exited there yet, so glibc has no
+  // cached stack to hand out without mapping a new one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::exit(serve_through_thread_creation_failure()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
