@@ -1,9 +1,11 @@
 #include "align/dataset.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "flow/eval.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -73,8 +75,12 @@ OfflineDataset OfflineDataset::build(
   // One pool task per design: its probe, its random batch and its serial
   // expert loop. Each design draws from its own seeded stream and writes
   // only its own slot, so the archive does not depend on the schedule;
-  // the flows nested in a task take the pool's idle workers.
+  // the flows nested in a task take the pool's idle workers. The span books
+  // the caller's wait for the last design to `flow`, as flow.eval.many does.
   flow::FlowEval& eval = flow::FlowEval::shared();
+  VPR_TRACE_SPAN(
+      "flow.archive", "flow",
+      obs::TraceArgs{{"designs", static_cast<std::int64_t>(designs.size())}});
   util::ThreadPool::shared().parallel_for(designs.size(), [&](std::size_t d) {
     const flow::Design& design = *designs[d];
     DesignData& data = dataset.designs_[d];

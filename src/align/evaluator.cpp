@@ -7,6 +7,7 @@
 #include "align/beam.h"
 #include "flow/eval.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace vpr::align {
 
@@ -100,7 +101,18 @@ CrossValidationResult ZeroShotEvaluator::run() const {
   CrossValidationResult result;
   result.rows.resize(designs_.size());
 
-  for (int fold = 0; fold < config_.folds; ++fold) {
+  // The folds are independent, so they run as pool tasks; the minibatches
+  // and validation flows inside each fold nest on the same pool. A fold
+  // writes the rows of its own test designs and its own accuracy slot, and
+  // the accuracies are merged in fold order below.
+  struct FoldAccuracy {
+    bool ran = false;
+    double train = 0.0;
+    double test = 0.0;
+  };
+  std::vector<FoldAccuracy> accuracy(static_cast<std::size_t>(config_.folds));
+  util::ThreadPool::shared().parallel_for(accuracy.size(), [&](std::size_t f) {
+    const int fold = static_cast<int>(f);
     std::vector<std::size_t> train_split;
     std::vector<std::size_t> test_split;
     for (std::size_t d = 0; d < designs_.size(); ++d) {
@@ -110,7 +122,7 @@ CrossValidationResult ZeroShotEvaluator::run() const {
         train_split.push_back(d);
       }
     }
-    if (test_split.empty()) continue;
+    if (test_split.empty()) return;
 
     // Fresh model per fold, seeded deterministically.
     util::Rng init_rng{util::hash_combine(config_.seed, fold)};
@@ -119,14 +131,17 @@ CrossValidationResult ZeroShotEvaluator::run() const {
     train_config.seed = util::hash_combine(config_.train.seed, fold);
     AlignmentTrainer trainer{model, train_config};
     trainer.train(dataset_, train_split);
-    result.fold_train_accuracy.push_back(
-        trainer.evaluate_pair_accuracy(dataset_, train_split));
-    result.fold_test_accuracy.push_back(
-        trainer.evaluate_pair_accuracy(dataset_, test_split));
+    accuracy[f] = {true, trainer.evaluate_pair_accuracy(dataset_, train_split),
+                   trainer.evaluate_pair_accuracy(dataset_, test_split)};
 
     for (const std::size_t d : test_split) {
       result.rows[d] = evaluate_design(model, d, config_.beam_width);
     }
+  });
+  for (const FoldAccuracy& acc : accuracy) {
+    if (!acc.ran) continue;
+    result.fold_train_accuracy.push_back(acc.train);
+    result.fold_test_accuracy.push_back(acc.test);
   }
   return result;
 }

@@ -1,7 +1,9 @@
 #include "align/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "align/losses.h"
@@ -9,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace vpr::align {
 
@@ -88,16 +91,19 @@ TrainMetrics AlignmentTrainer::train(
     insights[d] = effective_insight(dataset.design(d), config_.blind_insights);
   }
 
-  // One preference pair evaluated in isolation: the gradient of the
-  // 1/minibatch-scaled loss, the loss value, and the ranking verdict. Each
-  // pair starts from zeroed gradients and the minibatch sums them in pair
-  // order below, which fixes the floating-point summation order.
+  // One preference pair evaluated in isolation on `model`, a replica
+  // holding the master's parameters: the gradient of the 1/minibatch-scaled
+  // loss, the loss value, and the ranking verdict. Each pair starts from
+  // zeroed gradients and the minibatch sums them in pair order below, which
+  // fixes the floating-point summation order whichever replica and thread
+  // evaluated the pair.
   struct PairEval {
     std::vector<double> grad;
     double loss = 0.0;
     bool correct = false;
   };
-  const auto eval_pair = [&](const Pair& pair) -> PairEval {
+  const auto eval_pair = [&](RecipeModel& model,
+                             const Pair& pair) -> PairEval {
     const auto& data = dataset.design(pair.design);
     const auto& iv = insights[pair.design];
     const auto bits_w = data.points[pair.winner].recipes.to_bits();
@@ -105,20 +111,20 @@ TrainMetrics AlignmentTrainer::train(
     PairLossTerms terms;
     switch (config_.loss) {
       case LossKind::kMarginDpo:
-        terms = mdpo_pair_loss_terms(model_, iv, bits_w, bits_l,
+        terms = mdpo_pair_loss_terms(model, iv, bits_w, bits_l,
                                      data.points[pair.winner].score,
                                      data.points[pair.loser].score,
                                      config_.lambda);
         break;
       case LossKind::kPlainDpo:
-        terms = dpo_pair_loss_terms(model_, iv, bits_w, bits_l, config_.beta);
+        terms = dpo_pair_loss_terms(model, iv, bits_w, bits_l, config_.beta);
         break;
       case LossKind::kSupervisedNll:
         // Supervised ablation: fit the winner only.
-        terms = nll_loss_terms(model_, iv, bits_w);
+        terms = nll_loss_terms(model, iv, bits_w);
         break;
     }
-    model_.zero_grad();
+    model.zero_grad();
     nn::Tensor scaled =
         nn::scale(terms.loss, 1.0 / static_cast<double>(config_.minibatch));
     scaled.backward();
@@ -127,14 +133,27 @@ TrainMetrics AlignmentTrainer::train(
     // from the tape-free fast path.
     const double lp_w = terms.lp_i.item();
     const double lp_l = terms.lp_j.defined() ? terms.lp_j.item()
-                                             : model_.log_prob(iv, bits_l);
-    return {model_.gradients(), terms.loss.item(), lp_w > lp_l};
+                                             : model.log_prob(iv, bits_l);
+    return {model.gradients(), terms.loss.item(), lp_w > lp_l};
   };
 
   const auto minibatch = static_cast<std::size_t>(config_.minibatch);
   static obs::Counter& minibatch_counter =
       obs::MetricsRegistry::instance().counter(
           "train.minibatches", "MDPO minibatches processed");
+  // The pairs of a minibatch run on the shared pool, one replica model per
+  // participant. Replicas are shells (no rng draws) refreshed from the
+  // master's parameters at every step; the master alone reduces and steps.
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  std::vector<std::unique_ptr<RecipeModel>> replicas(
+      std::min<std::size_t>(pool.workers() + 1, minibatch));
+  {
+    nn::DeferParameterInit defer_init;
+    util::Rng unused{0};
+    for (auto& replica : replicas) {
+      replica = std::make_unique<RecipeModel>(model_.config(), unused);
+    }
+  }
   std::vector<PairEval> evals;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     VPR_TRACE_SPAN("train.epoch", "train",
@@ -155,9 +174,16 @@ TrainMetrics AlignmentTrainer::train(
       {
         VPR_TRACE_SPAN("train.minibatch", "train",
                        obs::TraceArgs{{"pairs", count}});
-        for (std::size_t i = 0; i < count; ++i) {
-          evals[i] = eval_pair(pairs[start + i]);
-        }
+        const std::vector<double> state = model_.state();
+        std::atomic<std::size_t> next{0};
+        pool.parallel_for(
+            std::min(replicas.size(), count), [&](std::size_t r) {
+              RecipeModel& replica = *replicas[r];
+              replica.load_state(state);
+              for (std::size_t i = next++; i < count; i = next++) {
+                evals[i] = eval_pair(replica, pairs[start + i]);
+              }
+            });
       }
       {
         VPR_TRACE_SPAN("train.grad_reduce", "train",

@@ -7,11 +7,11 @@
 //   insightalign recipes
 //   insightalign run --design 10 --recipes 1,8,24 [--json out.json]
 //   insightalign probe --design 6
-//   insightalign align --designs 1-6 --points 48 --epochs 6 \
+//   insightalign align --designs 1-6 --points 48 --epochs 6
 //       --model model.bin --dataset archive.bin
-//   insightalign recommend --model model.bin --dataset archive.bin \
+//   insightalign recommend --model model.bin --dataset archive.bin
 //       --design 14 [--k 5]
-//   insightalign tune --model model.bin --dataset archive.bin \
+//   insightalign tune --model model.bin --dataset archive.bin
 //       --design 14 --iterations 6
 //
 // Designs are suite indices 1..17 (optionally capped with --cells).

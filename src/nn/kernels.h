@@ -17,8 +17,9 @@
 // rows, mul-then-add without FMA contraction). Because each output element
 // keeps its own accumulator and the inner index still advances in scalar
 // order, the AVX2 exact kernels are bitwise identical to the scalar ones
-// for every shape. Reductions that would need reassociation to vectorize
-// (the backward dA = dC * B^T dots) keep the scalar kernel.
+// for every shape. The backward dA = dC * B^T dots are no exception: the
+// AVX2 matmul_nt_acc transposes B into scratch, runs the exact matmul and
+// adds the product into C, which is the scalar order without reassociation.
 //
 // Selection order: INSIGHTALIGN_KERNELS=scalar|avx2|auto (env), then
 // cpuid. force_isa() overrides at runtime (tests, benches).

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 namespace vpr::nn::kern::avx2 {
 
@@ -140,6 +141,36 @@ void matmul(const double* a, const double* b, double* c, int m, int k,
   }
 }
 
+// ----- exact matmul_nt_acc -----
+
+// C += A * B^T as a plain product plus an add. The scalar oracle does
+// crow[j] += dot(arow, brow_j), where dot starts from 0.0 and runs p
+// ascending: the exact matmul over a transposed copy of B computes every
+// such dot with the same single accumulator in the same order, so adding
+// its result into C afterwards is bitwise identical. No reassociation.
+void matmul_nt_acc(const double* a, const double* b, double* c, int m, int k,
+                   int n) {
+  if (m <= 0 || n <= 0) return;
+  thread_local std::vector<double> bt;
+  thread_local std::vector<double> prod;
+  bt.resize(static_cast<std::size_t>(std::max(k, 0)) * n);
+  prod.resize(static_cast<std::size_t>(m) * n);
+  for (int j = 0; j < n; ++j) {
+    const double* brow = b + static_cast<std::size_t>(j) * k;
+    for (int p = 0; p < k; ++p) {
+      bt[static_cast<std::size_t>(p) * n + j] = brow[p];
+    }
+  }
+  matmul(a, bt.data(), prod.data(), m, k, n);
+  const std::size_t total = prod.size();
+  std::size_t i = 0;
+  for (; i + 4 <= total; i += 4) {
+    _mm256_storeu_pd(c + i, _mm256_add_pd(_mm256_loadu_pd(c + i),
+                                          _mm256_loadu_pd(prod.data() + i)));
+  }
+  for (; i < total; ++i) c[i] += prod[i];
+}
+
 // ----- exact matmul_tn_acc -----
 
 // C[p][j] += av * B[i][j] with i outer-ascending, p ascending, j vectorized:
@@ -232,12 +263,11 @@ void scatter_rows(const double* src, int rows, int dim, double* const* dst) {
 }  // namespace
 
 const Kernels& exact_table() {
-  // matmul_nt_acc is a per-element reduction over k: it cannot vectorize
-  // without reassociating, so the exact table keeps the scalar oracle.
-  // scatter_cols is a strided store fan-out with nothing to vectorize.
+  // scatter_cols is a strided store fan-out with nothing to vectorize, so
+  // the exact table keeps the scalar kernel.
   static constexpr Kernels t{
-      matmul,       scalar::matmul_nt_acc, matmul_tn_acc,
-      scatter_rows, scalar::scatter_cols,  attn_scores,
+      matmul,       matmul_nt_acc,        matmul_tn_acc,
+      scatter_rows, scalar::scatter_cols, attn_scores,
   };
   return t;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -121,6 +123,81 @@ TEST(AlignmentTrainer, DeterministicTraining) {
     return model.state();
   };
   EXPECT_EQ(run(), run());
+}
+
+/// Order-sensitive hash of the exact bits of a sequence of doubles.
+struct BitHash {
+  std::uint64_t h = 0;
+  void mix(double v) {
+    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(v));
+  }
+  void mix(std::span<const double> vs) {
+    for (const double v : vs) mix(v);
+  }
+};
+
+TEST(AlignmentTrainer, TrainMatchesParentFingerprint) {
+  // Trained parameters and metrics of every loss, hashed bit for bit. The
+  // constant was captured with the pairs of a minibatch evaluated one
+  // after another on the caller; evaluating them on the pool must not
+  // move a bit, at any pool size.
+  auto& w = world();
+  const std::vector<std::size_t> all{0, 1, 2};
+  BitHash h;
+  const auto train = [&](TrainConfig tc, std::uint64_t init_seed) {
+    util::Rng rng{init_seed};
+    RecipeModel model{ModelConfig{}, rng};
+    AlignmentTrainer trainer{model, tc};
+    const auto metrics = trainer.train(w.dataset, all);
+    h.mix(model.state());
+    h.mix(metrics.epoch_loss);
+    h.mix(metrics.epoch_accuracy);
+    h.h = util::hash_combine(
+        h.h, static_cast<std::uint64_t>(metrics.optimizer_steps));
+  };
+  TrainConfig tc = fast_config();
+  train(tc, 71);
+  tc.loss = LossKind::kPlainDpo;
+  train(tc, 72);
+  tc.loss = LossKind::kSupervisedNll;
+  train(tc, 73);
+  tc.loss = LossKind::kMarginDpo;
+  tc.blind_insights = true;
+  tc.minibatch = 5;  // a short last minibatch in every epoch
+  train(tc, 74);
+  EXPECT_EQ(h.h, 0xfde9a3c725786058ULL) << std::hex << "0x" << h.h;
+}
+
+TEST(ZeroShotEvaluator, RunMatchesParentFingerprint) {
+  // A three-fold CV's Table IV rows and per-fold accuracies, hashed bit for
+  // bit. The constant was captured with the folds run one after another;
+  // running them as pool tasks must not move a bit, at any pool size.
+  auto& w = world();
+  EvalConfig ec;
+  ec.folds = 3;
+  ec.beam_width = 3;
+  ec.train = fast_config();
+  ec.train.epochs = 2;
+  const auto result = ZeroShotEvaluator{w.designs, w.dataset, ec}.run();
+  BitHash h;
+  for (const DesignEvaluation& row : result.rows) {
+    for (const char c : row.design) {
+      h.h = util::hash_combine(h.h, static_cast<std::uint64_t>(c));
+    }
+    for (const double v : {row.known_tns, row.known_power, row.known_score,
+                           row.rec_tns, row.rec_power, row.rec_score,
+                           row.win_pct}) {
+      h.mix(v);
+    }
+    h.h = util::hash_combine(h.h, row.best_recipes.to_u64());
+    for (const DataPoint& p : row.recommendations) {
+      h.h = util::hash_combine(h.h, p.recipes.to_u64());
+      for (const double v : {p.power, p.tns, p.score}) h.mix(v);
+    }
+  }
+  h.mix(result.fold_train_accuracy);
+  h.mix(result.fold_test_accuracy);
+  EXPECT_EQ(h.h, 0x6317ce0ca2213bc2ULL) << std::hex << "0x" << h.h;
 }
 
 TEST(ZeroShotEvaluator, FoldAssignmentBalanced) {

@@ -120,8 +120,9 @@ TEST(KernelsDispatch, TnAccBitwiseAcrossIsas) {
 }
 
 TEST(KernelsDispatch, NtAccExactIsScalarOracleOnBothIsas) {
-  // The exact table keeps the scalar reduction for nt_acc (it cannot
-  // vectorize without reassociating), so both ISAs must agree bitwise.
+  // The AVX2 nt_acc transposes B, runs the exact matmul and adds the
+  // product into C: every dot keeps the scalar oracle's single accumulator
+  // and order, so both ISAs must agree bitwise.
   if (!avx2_supported()) GTEST_SKIP() << "no AVX2 on this host/build";
   DispatchGuard guard;
   util::Rng rng{79};

@@ -290,7 +290,7 @@ TEST(Router, StopShutsDownAndValidatesInput) {
   EXPECT_EQ(late.get().status, Status::kShutdown);
   router.stop();  // idempotent
 
-  EXPECT_THROW((Router{model, RouterConfig{.replicas = 0}}),
+  EXPECT_THROW((Router{model, RouterConfig{.replicas = 0, .replica = {}}}),
                std::invalid_argument);
 }
 
