@@ -44,8 +44,9 @@ int main() {
 
   std::vector<std::string> header{"Recipe"};
   for (const int id : design_ids) {
-    header.push_back("D" + std::to_string(id) + " dPwr%");
-    header.push_back("D" + std::to_string(id) + " dTNS");
+    const std::string design = std::to_string(id);
+    header.push_back("D" + design + " dPwr%");
+    header.push_back("D" + design + " dTNS");
   }
   header.push_back("Est. hours (1M cells)");
   util::TablePrinter table{header};

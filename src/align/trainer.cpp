@@ -178,11 +178,16 @@ TrainMetrics AlignmentTrainer::train(
         std::atomic<std::size_t> next{0};
         pool.parallel_for(
             std::min(replicas.size(), count), [&](std::size_t r) {
+              // Books pool workers' pair work to training; only
+              // train.minibatch's `pairs` arg counts the minibatch.
+              obs::TraceSpan span{"train.replica", "train"};
               RecipeModel& replica = *replicas[r];
               replica.load_state(state);
-              for (std::size_t i = next++; i < count; i = next++) {
+              std::size_t done = 0;
+              for (std::size_t i = next++; i < count; i = next++, ++done) {
                 evals[i] = eval_pair(replica, pairs[start + i]);
               }
+              span.arg("pairs", done);
             });
       }
       {

@@ -23,7 +23,11 @@ const char* output_pin_name(const CellType& type) {
   return type.func == Func::kDff ? "Q" : "Y";
 }
 
-std::string net_name(int n) { return "n" + std::to_string(n); }
+std::string net_name(int n) {
+  std::string name = "n";
+  name += std::to_string(n);
+  return name;
+}
 
 [[noreturn]] void fail(int line, const std::string& message) {
   throw std::runtime_error("read_verilog: line " + std::to_string(line) +

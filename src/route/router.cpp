@@ -15,42 +15,25 @@ GlobalRouter::GlobalRouter(const netlist::Netlist& nl,
     throw std::invalid_argument("GlobalRouter: placement size mismatch");
   }
   grid_ = placement.grid > 0 ? placement.grid : 16;
-  // Capacity is finalized in run(): the fabric is sized against the mean
-  // demand of an uncongested pre-pass (a real router's track supply is
-  // matched to typical utilization), with less headroom at advanced nodes.
-  capacity_ = 1.0;
-  walker_ = std::make_unique<detail::EdgeWalker>();
 }
-
-GlobalRouter::~GlobalRouter() = default;
 
 RoutingResult GlobalRouter::run() {
   VPR_TRACE_SPAN("route.full", "route");
-  detail::EdgeWalker& walker = *walker_;
-  walker.reset(grid_, knobs_);
-
   std::vector<detail::TwoPin> pins;
   detail::decompose(nl_, placement_, grid_, pins);
   std::vector<std::size_t> order;
   detail::shortest_first_order(pins, order);
 
+  // The fabric is sized against the mean demand of an uncongested routing
+  // (a real router's track supply is matched to typical utilization), with
+  // less headroom at advanced nodes.
+  const double capacity = detail::calibrate_capacity(nl_, knobs_, pins, grid_);
+  detail::EdgeWalker walker;
+  walker.reset(grid_, knobs_, capacity);
+
   RoutingResult result;
   result.grid = grid_;
   std::vector<double> pin_length(pins.size(), 0.0);
-
-  // Calibration pre-pass: route everything greedily with no penalty, then
-  // size edge capacity as headroom over the mean edge usage.
-  {
-    VPR_TRACE_SPAN("route.calibrate", "route",
-                   obs::TraceArgs{{"pins", static_cast<std::int64_t>(pins.size())}});
-    capacity_ = 1e18;  // unconstrained during calibration
-    for (const std::size_t i : order) {
-      walker.route_two_pin(pins[i], 0.0, capacity_);
-    }
-    capacity_ = detail::calibrate_capacity(nl_, knobs_, walker.h_usage(),
-                                           walker.v_usage());
-  }
-
   for (int round = 0; round < knobs_.rounds; ++round) {
     VPR_TRACE_SPAN("route.round", "route",
                    obs::TraceArgs{{"round", static_cast<std::int64_t>(round)}});
@@ -58,13 +41,13 @@ RoutingResult GlobalRouter::run() {
     const double penalty =
         (1.0 + 2.0 * knobs_.congestion_effort) * (round + 1);
     for (const std::size_t i : order) {
-      pin_length[i] = walker.route_two_pin(pins[i], penalty, capacity_);
+      pin_length[i] = walker.route_two_pin(pins[i], penalty);
     }
     // Overflow accounting + history update for the next round.
     const detail::RoundOverflow over =
-        detail::account_overflow(walker.h_usage(), walker.v_usage(), capacity_);
+        detail::account_overflow(walker.h_usage(), walker.v_usage(), capacity);
     const double history_gain = 0.5 + knobs_.congestion_effort;
-    walker.bump_history(history_gain, capacity_);
+    walker.bump_history(history_gain);
     result.round_overflow_edges.push_back(over.over_edges);
     result.overflow_edges = over.over_edges;
     result.total_overflow = over.total_over;

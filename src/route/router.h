@@ -12,7 +12,6 @@
 // incrementally (docs/flow_perf.md). The walk/cost/ordering mechanics live
 // in route/walk.h.
 
-#include <memory>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -44,29 +43,20 @@ struct RoutingResult {
   }
 };
 
-namespace detail {
-class EdgeWalker;
-struct TwoPin;
-}  // namespace detail
-
 class GlobalRouter {
  public:
   GlobalRouter(const netlist::Netlist& nl, const place::Placement& placement,
                RouterKnobs knobs);
-  ~GlobalRouter();
 
   [[nodiscard]] RoutingResult run();
 
   [[nodiscard]] int grid() const noexcept { return grid_; }
-  [[nodiscard]] double edge_capacity() const noexcept { return capacity_; }
 
  private:
   const netlist::Netlist& nl_;
   const place::Placement& placement_;
   RouterKnobs knobs_;
   int grid_;
-  double capacity_;
-  std::unique_ptr<detail::EdgeWalker> walker_;
 };
 
 }  // namespace vpr::route

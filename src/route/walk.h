@@ -98,22 +98,24 @@ inline void bump_history(std::vector<double>& h_history,
 
 /// The candidate walker over the capacitated bin grid: owns the usage,
 /// history and cost arrays plus the per-pin scratch hoisted out of the
-/// route loops. Capacity and penalty are per-call so the calibration
-/// pre-pass and the negotiated rounds share the code.
+/// route loops.
 ///
 /// Cost cache invariant: whenever a candidate is scored, every `cost` entry
 /// equals edge_cost() of its edge's current usage and history at the
-/// call's (capacity, penalty). The whole array is refilled when that pair
-/// changes or after reset(), zero_usage() or bump_history(); a commit
-/// refreshes each edge it touches. Scoring therefore sums bitwise the
-/// same summands, in the same order, as recomputing edge_cost() per visit.
+/// latched capacity and the call's penalty. The whole array is refilled
+/// when the penalty changes or after reset(), zero_usage() or
+/// bump_history(); a commit refreshes each edge it touches. Scoring
+/// therefore sums bitwise the same summands, in the same order, as
+/// recomputing edge_cost() per visit.
 class EdgeWalker {
  public:
   /// Sizes and zeroes usage + history for `grid` and latches the clamped
-  /// knobs (which shape the candidate set). Call once per routing pass.
-  void reset(int grid, const RouterKnobs& knobs) {
+  /// knobs (which shape the candidate set) and the edge capacity. Call
+  /// once per routing.
+  void reset(int grid, const RouterKnobs& knobs, double capacity) {
     grid_ = grid;
     knobs_ = knobs;
+    capacity_ = capacity;
     const std::size_t edges =
         grid > 1 ? static_cast<std::size_t>(grid) * (grid - 1) : 0;
     for (EdgeSet* set : {&h_, &v_}) {
@@ -131,9 +133,9 @@ class EdgeWalker {
   }
 
   /// detail::bump_history on the walker's own arrays.
-  void bump_history(double history_gain, double capacity) {
+  void bump_history(double history_gain) {
     detail::bump_history(h_.history, v_.history, h_.usage, v_.usage,
-                         history_gain, capacity);
+                         history_gain, capacity_);
     costs_stale_ = true;
   }
 
@@ -148,11 +150,8 @@ class EdgeWalker {
   /// the path length (in bin steps) via the cheapest candidate. Candidates
   /// are scored from the cost cache in order, the first strictly cheapest
   /// wins, and the winner is committed by re-walking its geometry.
-  double route_two_pin(const TwoPin& pin, double penalty, double capacity) {
-    if (costs_stale_ || penalty != cost_penalty_ ||
-        capacity != cost_capacity_) {
-      refill_costs(penalty, capacity);
-    }
+  double route_two_pin(const TwoPin& pin, double penalty) {
+    if (costs_stale_ || penalty != cost_penalty_) refill_costs(penalty);
     candidates_.clear();
     candidates_.push_back({pin.x1, pin.y0});  // L: horizontal then vertical
     candidates_.push_back({pin.x0, pin.y1});  // L: vertical then horizontal
@@ -191,7 +190,7 @@ class EdgeWalker {
     }
     walk(pin, best, [&](EdgeSet& set, std::size_t e) {
       set.usage[e] += 1.0;
-      set.cost[e] = edge_cost(set.usage[e], set.history[e], capacity, penalty);
+      set.cost[e] = edge_cost(set.usage[e], set.history[e], capacity_, penalty);
     });
     return best_length;
   }
@@ -209,15 +208,14 @@ class EdgeWalker {
     std::vector<double> cost;     // edge_cost() of usage + history
   };
 
-  void refill_costs(double penalty, double capacity) {
+  void refill_costs(double penalty) {
     for (EdgeSet* set : {&h_, &v_}) {
       for (std::size_t e = 0; e < set->cost.size(); ++e) {
         set->cost[e] =
-            edge_cost(set->usage[e], set->history[e], capacity, penalty);
+            edge_cost(set->usage[e], set->history[e], capacity_, penalty);
       }
     }
     cost_penalty_ = penalty;
-    cost_capacity_ = capacity;
     costs_stale_ = false;
   }
 
@@ -253,26 +251,41 @@ class EdgeWalker {
 
   int grid_ = 0;
   RouterKnobs knobs_;
+  double capacity_ = 1.0;
   EdgeSet h_;
   EdgeSet v_;
   bool costs_stale_ = true;
-  double cost_penalty_ = 0.0;   // the pair the cost arrays were filled at
-  double cost_capacity_ = 0.0;
+  double cost_penalty_ = 0.0;  // the penalty the cost arrays were filled at
   std::vector<Candidate> candidates_;
 };
 
-/// Sizes edge capacity from the calibration pre-pass usage: headroom over
-/// the mean edge demand, with less headroom at advanced nodes.
+/// Sizes edge capacity as headroom over the mean edge demand of an
+/// uncongested routing of `pins` on the `grid`, with less headroom at
+/// advanced nodes. That demand is the sum of the two-pin Manhattan lengths.
+///
+/// It is exactly the mean edge usage of routing every pin once, in
+/// shortest-first order, at penalty 0 and capacity 1e18 (the walked
+/// calibration pass the test reference router keeps):
+/// - In that pass history is zero and penalty * overflow is 0, so an edge
+///   costs 1 + 0.25 * usage / 1e18. Usage stays below the pin count, so
+///   every edge costs between 1 and 1 + 6e-15 even at D17's 23,710 pins.
+/// - The first L shape is always a shortest candidate. Of length
+///   L = |dx| + |dy|, it costs at most L * (1 + 6e-15) < L + 1, while any
+///   detour has at least L + 2 edges and costs at least L + 2. So every
+///   pin commits some path of length L, each edge at most once.
+/// - The pass's total usage is therefore the sum of L over `pins`. Sums of
+///   integer-valued doubles this small are exact in any order, so the
+///   per-edge sum of that pass and the per-pin sum here are the same
+///   double, and so is the mean.
 inline double calibrate_capacity(const netlist::Netlist& nl,
                                  const RouterKnobs& knobs,
-                                 const std::vector<double>& h_usage,
-                                 const std::vector<double>& v_usage) {
-  const std::size_t h_edges = h_usage.size();
+                                 const std::vector<TwoPin>& pins, int grid) {
   double mean_usage = 0.0;
-  for (std::size_t e = 0; e < h_edges; ++e) {
-    mean_usage += h_usage[e] + v_usage[e];
+  for (const TwoPin& p : pins) {
+    mean_usage += std::abs(p.x1 - p.x0) + std::abs(p.y1 - p.y0);
   }
-  mean_usage /= std::max<std::size_t>(1, 2 * h_edges);
+  mean_usage /= std::max<std::size_t>(
+      1, 2 * static_cast<std::size_t>(grid) * (grid - 1));
   const double node_scale =
       std::clamp(nl.library().node().feature_nm / 45.0, 0.1, 1.0);
   return std::max(2.0, (1.08 + 0.55 * node_scale) * mean_usage *

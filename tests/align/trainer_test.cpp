@@ -8,9 +8,11 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <variant>
 
 #include "align/cache.h"
 #include "align/evaluator.h"
+#include "obs/trace.h"
 
 namespace vpr::align {
 namespace {
@@ -123,6 +125,42 @@ TEST(AlignmentTrainer, DeterministicTraining) {
     return model.state();
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(AlignmentTrainer, ReplicaSpansCoverEveryPairOnce) {
+  // Every participant of a minibatch's parallel_for, pool workers
+  // included, books its pairs in a train.replica span; together they
+  // count each of train.minibatch's pairs exactly once.
+  auto& w = world();
+  util::Rng rng{67};
+  RecipeModel model{ModelConfig{}, rng};
+  AlignmentTrainer trainer{model, fast_config()};
+  const std::vector<std::size_t> all{0, 1, 2};
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  const auto metrics = trainer.train(w.dataset, all);
+  recorder.set_enabled(false);
+  const std::vector<obs::TraceEvent> events = recorder.snapshot();
+  recorder.clear();
+  std::int64_t minibatch_pairs = 0;
+  std::int64_t replica_pairs = 0;
+  int minibatches = 0;
+  int replicas = 0;
+  for (const obs::TraceEvent& e : events) {
+    const bool replica = e.name == "train.replica";
+    if (!replica && e.name != "train.minibatch") continue;
+    EXPECT_EQ(e.category, "train");
+    ASSERT_EQ(e.args.size(), 1u) << e.name;
+    ASSERT_EQ(e.args[0].key, "pairs");
+    const auto pairs = std::get<std::int64_t>(e.args[0].value);
+    (replica ? replica_pairs : minibatch_pairs) += pairs;
+    ++(replica ? replicas : minibatches);
+  }
+  EXPECT_EQ(minibatches, metrics.optimizer_steps);
+  EXPECT_GE(replicas, minibatches);
+  EXPECT_GT(minibatch_pairs, 0);
+  EXPECT_EQ(replica_pairs, minibatch_pairs);
 }
 
 /// Order-sensitive hash of the exact bits of a sequence of doubles.

@@ -33,25 +33,24 @@ struct Fixture {
   }
 };
 
-/// The router without the cost cache: edge_cost() is recomputed on every
-/// visit, and the winner is committed by replaying its recorded edge list.
-/// GlobalRouter must match it bitwise.
-RoutingResult reference_route(const netlist::Netlist& nl,
-                              const place::Placement& placement,
-                              RouterKnobs knobs) {
-  knobs = detail::clamp_knobs(knobs);
-  const int grid = placement.grid > 0 ? placement.grid : 16;
-  const std::size_t edges =
-      grid > 1 ? static_cast<std::size_t>(grid) * (grid - 1) : 0;
-  std::vector<double> h_usage(edges, 0.0), v_usage(edges, 0.0);
-  std::vector<double> h_history(edges, 0.0), v_history(edges, 0.0);
-  std::vector<detail::TwoPin> pins;
-  detail::decompose(nl, placement, grid, pins);
-  std::vector<std::size_t> order;
-  detail::shortest_first_order(pins, order);
+/// The router's edge state without the cost cache: edge_cost() is
+/// recomputed on every visit, and the winner is committed by replaying its
+/// recorded edge list.
+struct ReferenceGrid {
+  int grid;
+  RouterKnobs knobs;  // clamped
+  std::vector<double> h_usage, v_usage, h_history, v_history;
 
-  const auto route_pin = [&](const detail::TwoPin& p, double penalty,
-                             double capacity) {
+  ReferenceGrid(int grid_in, const RouterKnobs& knobs_in)
+      : grid(grid_in), knobs(knobs_in) {
+    const std::size_t edges =
+        grid > 1 ? static_cast<std::size_t>(grid) * (grid - 1) : 0;
+    for (auto* v : {&h_usage, &v_usage, &h_history, &v_history}) {
+      v->assign(edges, 0.0);
+    }
+  }
+
+  double route_pin(const detail::TwoPin& p, double penalty, double capacity) {
     std::vector<std::pair<int, int>> mids{{p.x1, p.y0}, {p.x0, p.y1}};
     const double effort = knobs.congestion_effort;
     if (effort > 0.0) {
@@ -94,32 +93,83 @@ RoutingResult reference_route(const netlist::Netlist& nl,
     }
     for (double* usage : best) *usage += 1.0;
     return static_cast<double>(best.size());
-  };
+  }
+};
 
-  for (const std::size_t i : order) route_pin(pins[i], 0.0, 1e18);
-  const double capacity =
-      detail::calibrate_capacity(nl, knobs, h_usage, v_usage);
+/// GlobalRouter's grid and two-pin connections, in routing order.
+struct Connections {
+  int grid;
+  std::vector<detail::TwoPin> pins;
+  std::vector<std::size_t> order;
+
+  Connections(const netlist::Netlist& nl, const place::Placement& placement)
+      : grid(placement.grid > 0 ? placement.grid : 16) {
+    detail::decompose(nl, placement, grid, pins);
+    detail::shortest_first_order(pins, order);
+  }
+};
+
+/// The walked calibration pass: every pin routed once, shortest first, at
+/// penalty 0 and capacity 1e18 on an empty grid, and the capacity sized
+/// from that pass's mean edge usage. `knobs` must be clamped.
+double walked_capacity(const netlist::Netlist& nl, const RouterKnobs& knobs,
+                       const Connections& c) {
+  ReferenceGrid g{c.grid, knobs};
+  for (const std::size_t i : c.order) g.route_pin(c.pins[i], 0.0, 1e18);
+  double mean_usage = 0.0;
+  for (std::size_t e = 0; e < g.h_usage.size(); ++e) {
+    mean_usage += g.h_usage[e] + g.v_usage[e];
+  }
+  mean_usage /= std::max<std::size_t>(1, 2 * g.h_usage.size());
+  const double node_scale =
+      std::clamp(nl.library().node().feature_nm / 45.0, 0.1, 1.0);
+  return std::max(2.0, (1.08 + 0.55 * node_scale) * mean_usage *
+                           knobs.capacity_derate);
+}
+
+/// The router without the cost cache or the closed-form capacity: it walks
+/// the calibration pass, then negotiates on ReferenceGrid. GlobalRouter
+/// must match it bitwise.
+RoutingResult reference_route(const netlist::Netlist& nl,
+                              const place::Placement& placement,
+                              RouterKnobs knobs) {
+  knobs = detail::clamp_knobs(knobs);
+  const Connections c{nl, placement};
+  const double capacity = walked_capacity(nl, knobs, c);
+  ReferenceGrid g{c.grid, knobs};
   RoutingResult result;
-  result.grid = grid;
-  std::vector<double> pin_length(pins.size(), 0.0);
+  result.grid = c.grid;
+  std::vector<double> pin_length(c.pins.size(), 0.0);
   for (int round = 0; round < knobs.rounds; ++round) {
-    std::fill(h_usage.begin(), h_usage.end(), 0.0);
-    std::fill(v_usage.begin(), v_usage.end(), 0.0);
+    std::fill(g.h_usage.begin(), g.h_usage.end(), 0.0);
+    std::fill(g.v_usage.begin(), g.v_usage.end(), 0.0);
     const double penalty = (1.0 + 2.0 * knobs.congestion_effort) * (round + 1);
-    for (const std::size_t i : order) {
-      pin_length[i] = route_pin(pins[i], penalty, capacity);
+    for (const std::size_t i : c.order) {
+      pin_length[i] = g.route_pin(c.pins[i], penalty, capacity);
     }
     const detail::RoundOverflow over =
-        detail::account_overflow(h_usage, v_usage, capacity);
-    detail::bump_history(h_history, v_history, h_usage, v_usage,
+        detail::account_overflow(g.h_usage, g.v_usage, capacity);
+    detail::bump_history(g.h_history, g.v_history, g.h_usage, g.v_usage,
                          0.5 + knobs.congestion_effort, capacity);
     result.round_overflow_edges.push_back(over.over_edges);
     result.overflow_edges = over.over_edges;
     result.total_overflow = over.total_over;
     result.max_utilization = over.max_util;
   }
-  detail::finalize_result(nl, placement, grid, pins, pin_length, result);
+  detail::finalize_result(nl, placement, c.grid, c.pins, pin_length, result);
   return result;
+}
+
+/// detail::calibrate_capacity against the walked pass, bitwise.
+void expect_closed_form_capacity(const netlist::Netlist& nl,
+                                 const place::Placement& placement,
+                                 const RouterKnobs& knobs,
+                                 const std::string& what) {
+  const RouterKnobs clamped = detail::clamp_knobs(knobs);
+  const Connections c{nl, placement};
+  EXPECT_EQ(detail::calibrate_capacity(nl, clamped, c.pins, c.grid),
+            walked_capacity(nl, clamped, c))
+      << what;
 }
 
 void expect_same_routing(const RoutingResult& a, const RoutingResult& b,
@@ -230,6 +280,11 @@ TEST(Router, RejectsBadPlacement) {
                std::invalid_argument);
 }
 
+/// The knob corners of RouterKnobSweep: effort x derate x rounds.
+constexpr double kSweepEfforts[] = {0.0, 0.5, 1.0};
+constexpr double kSweepDerates[] = {0.6, 1.0, 1.2};
+constexpr int kSweepRounds[] = {1, 4};
+
 /// Property sweep: routing is legal at knob corners.
 class RouterKnobSweep
     : public ::testing::TestWithParam<std::tuple<double, double, int>> {};
@@ -261,9 +316,9 @@ TEST_P(RouterKnobSweep, MatchesRecomputingReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corners, RouterKnobSweep,
-    ::testing::Combine(::testing::Values(0.0, 0.5, 1.0),
-                       ::testing::Values(0.6, 1.0, 1.2),
-                       ::testing::Values(1, 4)));
+    ::testing::Combine(::testing::ValuesIn(kSweepEfforts),
+                       ::testing::ValuesIn(kSweepDerates),
+                       ::testing::ValuesIn(kSweepRounds)));
 
 /// Every suite design at the default knobs, on its default placement.
 class RouterSuite : public ::testing::TestWithParam<int> {};
@@ -281,6 +336,59 @@ TEST_P(RouterSuite, MatchesRecomputingReference) {
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, RouterSuite,
                          ::testing::Range(1, netlist::kSuiteSize + 1));
+
+/// The closed-form capacity equals the walked calibration pass's, bit for
+/// bit, for every suite design at every RouterKnobSweep corner.
+class RouterCalibration : public ::testing::TestWithParam<int> {};
+
+TEST_P(RouterCalibration, ClosedFormMatchesWalkedPass) {
+  const netlist::DesignTraits traits = netlist::suite_design(GetParam());
+  const netlist::Netlist nl = netlist::generate(traits);
+  place::Placer placer{nl, place::PlacerKnobs{}, traits.seed};
+  const place::Placement placement = placer.run();
+  for (const double effort : kSweepEfforts) {
+    for (const double derate : kSweepDerates) {
+      for (const int rounds : kSweepRounds) {
+        RouterKnobs knobs;
+        knobs.congestion_effort = effort;
+        knobs.capacity_derate = derate;
+        knobs.rounds = rounds;
+        expect_closed_form_capacity(
+            nl, placement, knobs,
+            "D" + std::to_string(GetParam()) + " effort " +
+                std::to_string(effort) + " derate " + std::to_string(derate) +
+                " rounds " + std::to_string(rounds));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, RouterCalibration,
+                         ::testing::Range(1, netlist::kSuiteSize + 1));
+
+TEST(RouterCalibrationEdge, SameBinPinsGetMinimumCapacity) {
+  // Every cell in one bin: decompose drops every connection, so the mean
+  // demand is 0 and the capacity floor of 2 applies, on the default grid
+  // and on a one-bin grid with no edges at all.
+  Fixture fx;
+  for (const int grid : {fx.placement.grid, 1}) {
+    place::Placement same_bin = fx.placement;
+    same_bin.grid = grid;
+    std::fill(same_bin.x.begin(), same_bin.x.end(), 0.5);
+    std::fill(same_bin.y.begin(), same_bin.y.end(), 0.5);
+    const Connections c{fx.nl, same_bin};
+    EXPECT_TRUE(c.pins.empty()) << "grid " << grid;
+    EXPECT_EQ(detail::calibrate_capacity(fx.nl, RouterKnobs{}, c.pins, grid),
+              2.0)
+        << "grid " << grid;
+    expect_closed_form_capacity(fx.nl, same_bin, RouterKnobs{},
+                                "grid " + std::to_string(grid));
+    GlobalRouter router{fx.nl, same_bin, RouterKnobs{}};
+    expect_same_routing(router.run(),
+                        reference_route(fx.nl, same_bin, RouterKnobs{}),
+                        "grid " + std::to_string(grid));
+  }
+}
 
 }  // namespace
 }  // namespace vpr::route
