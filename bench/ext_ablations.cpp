@@ -6,11 +6,13 @@
 // out) so differences are attributable to the ablated component.
 
 #include <iostream>
+#include <optional>
 
 #include "align/beam.h"
 #include "bench_common.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 int main() {
   using namespace vpr;
@@ -48,7 +50,6 @@ int main() {
   util::TablePrinter table({"Variant", "Unseen pair-rank acc.",
                             "Mean Win% (4 unseen designs)",
                             "Mean rec QoR - best-known QoR"});
-  std::vector<align::RecipeModel> trained_models;
   std::vector<align::ModelConfig> model_configs(variants.size());
   // Extension variant: a 2-layer decoder stack (paper uses 1 layer).
   {
@@ -58,9 +59,14 @@ int main() {
     deep.decoder_layers = 2;
     model_configs.push_back(deep);
   }
-  for (std::size_t v = 0; v < variants.size(); ++v) {
+  // The variants are independent, so they run as pool tasks; training and
+  // the validation flows inside each nest on the same pool. A variant
+  // writes only its own row slot, and the rows print in variant order.
+  std::vector<std::vector<std::string>> rows(variants.size());
+  std::optional<align::RecipeModel> paper_model;  // variant 0, for the sweep
+  util::ThreadPool::shared().parallel_for(variants.size(), [&](std::size_t v) {
     const auto& variant = variants[v];
-    util::Rng rng{util::hash_combine(0xab1a7eULL, trained_models.size())};
+    util::Rng rng{util::hash_combine(0xab1a7eULL, v)};
     align::RecipeModel model{model_configs[v], rng};
     align::AlignmentTrainer trainer{model, variant.config};
     trainer.train(world.dataset, train_split);
@@ -78,11 +84,12 @@ int main() {
       wins.push_back(row.win_pct);
       deltas.push_back(row.rec_score - row.known_score);
     }
-    table.add_row({variant.name, util::fmt(acc, 3),
-                   util::fmt(util::mean(wins), 1),
-                   util::fmt(util::mean(deltas), 2)});
-    trained_models.push_back(std::move(model));
-  }
+    rows[v] = {variant.name, util::fmt(acc, 3),
+               util::fmt(util::mean(wins), 1),
+               util::fmt(util::mean(deltas), 2)};
+    if (v == 0) paper_model.emplace(std::move(model));
+  });
+  for (auto& row : rows) table.add_row(std::move(row));
   table.print(std::cout);
 
   // Beam-width sweep using the margin-DPO model.
@@ -93,7 +100,7 @@ int main() {
     std::vector<double> wins;
     std::vector<double> scores;
     for (const std::size_t d : test_split) {
-      const auto row = evaluator.evaluate_design(trained_models.front(), d, k);
+      const auto row = evaluator.evaluate_design(*paper_model, d, k);
       wins.push_back(row.win_pct);
       scores.push_back(row.rec_score);
     }

@@ -58,6 +58,23 @@ Bbox net_bbox(const netlist::Netlist& nl, const Placement& p, int net_id) {
 
 }  // namespace
 
+/// Buffers one run() reuses across its steps instead of reallocating them
+/// per call. Chunk ch writes only index ch of every per-chunk array.
+struct Placer::Scratch {
+  std::vector<double> pull_weight;  // per net, fixed for the run
+  std::vector<double> net_cx;       // per net centroid
+  std::vector<double> net_cy;
+  std::vector<int> cell_bin;        // per cell, as of the last map pass
+  std::array<std::vector<double>, kChunks> util_part;
+  std::array<std::vector<double>, kChunks> demand_part;
+  std::array<double, kChunks> hpwl_part{};
+  // Spread classes as of the last map pass: per chunk, the chunk's cells
+  // in each tile's interior, and those on tile boundaries.
+  std::array<std::array<std::vector<int>, kTiles>, kChunks> tile_part;
+  std::array<std::vector<int>, kChunks> boundary_part;
+  double hpwl = 0.0;  // total HPWL as of the last map pass
+};
+
 double Placement::net_hpwl(const netlist::Netlist& nl, int net) const {
   return net_bbox(nl, *this, net).hpwl();
 }
@@ -125,6 +142,31 @@ Placer::Placer(const netlist::Netlist& netlist, PlacerKnobs knobs,
         interior_tile_[static_cast<std::size_t>(by) * grid_ + bx] = tile;
       }
     }
+  }
+
+  const int n = nl_.cell_count();
+  const int nets = nl_.net_count();
+  net_begin_.reserve(static_cast<std::size_t>(nets) + 1);
+  net_begin_.push_back(0);
+  for (int net = 0; net < nets; ++net) {
+    const auto& info = nl_.net(net);
+    if (info.driver_cell != netlist::kNoDriver) {
+      net_pins_.push_back(info.driver_cell);
+    }
+    net_pins_.insert(net_pins_.end(), info.sink_cells.begin(),
+                     info.sink_cells.end());
+    net_begin_.push_back(net_pins_.size());
+  }
+  cell_begin_.reserve(static_cast<std::size_t>(n) + 1);
+  cell_begin_.push_back(0);
+  cell_area_.reserve(static_cast<std::size_t>(n));
+  for (int c = 0; c < n; ++c) {
+    const auto& cell = nl_.cell(c);
+    cell_nets_.push_back(cell.fanout_net);
+    cell_nets_.insert(cell_nets_.end(), cell.fanin_nets.begin(),
+                      cell.fanin_nets.end());
+    cell_begin_.push_back(cell_nets_.size());
+    cell_area_.push_back(nl_.cell_type(c).area);
   }
 }
 
@@ -199,39 +241,27 @@ void Placer::seed_initial(Placement& p) const {
   });
 }
 
-void Placer::force_step(Placement& p, std::span<const double> net_weights,
-                        double temperature, int iteration) const {
+void Placer::force_step(Placement& p, Scratch& s, double temperature,
+                        int iteration) const {
   const int n = nl_.cell_count();
   const int nets = nl_.net_count();
   // Net centroids (cheap star model), accumulated net-major: each net sums
   // its driver then its sinks, so a net's centroid is one unit of work and
   // the FP order is fixed regardless of how many nets run concurrently.
-  std::vector<double> net_cx(static_cast<std::size_t>(nets), 0.0);
-  std::vector<double> net_cy(static_cast<std::size_t>(nets), 0.0);
-  std::vector<int> net_pins(static_cast<std::size_t>(nets), 0);
   for_units(kChunks, [&](std::size_t ch) {
     const auto [begin, end] =
         chunk_range(static_cast<std::size_t>(nets), ch, kChunks);
     for (std::size_t net = begin; net < end; ++net) {
-      const auto& info = nl_.net(static_cast<int>(net));
+      const int pins = static_cast<int>(net_begin_[net + 1] - net_begin_[net]);
       double sx = 0.0;
       double sy = 0.0;
-      int pins = 0;
-      if (info.driver_cell != netlist::kNoDriver) {
-        sx += p.x[static_cast<std::size_t>(info.driver_cell)];
-        sy += p.y[static_cast<std::size_t>(info.driver_cell)];
-        ++pins;
+      for (std::size_t k = net_begin_[net]; k < net_begin_[net + 1]; ++k) {
+        const auto pin = static_cast<std::size_t>(net_pins_[k]);
+        sx += p.x[pin];
+        sy += p.y[pin];
       }
-      for (const int s : info.sink_cells) {
-        sx += p.x[static_cast<std::size_t>(s)];
-        sy += p.y[static_cast<std::size_t>(s)];
-        ++pins;
-      }
-      if (pins > 0) {
-        net_cx[net] = sx / pins;
-        net_cy[net] = sy / pins;
-      }
-      net_pins[net] = pins;
+      s.net_cx[net] = pins > 0 ? sx / pins : 0.0;
+      s.net_cy[net] = pins > 0 ? sy / pins : 0.0;
     }
   });
   // Move each cell toward the weighted centroid of its nets' centroids.
@@ -244,24 +274,17 @@ void Placer::force_step(Placement& p, std::span<const double> net_weights,
     const auto [begin, end] =
         chunk_range(static_cast<std::size_t>(n), ch, kChunks);
     for (std::size_t i = begin; i < end; ++i) {
-      const auto& cell = nl_.cell(static_cast<int>(i));
       double tx = 0.0;
       double ty = 0.0;
       double wsum = 0.0;
-      const auto pull = [&](int net) {
-        // High-fanout nets pull weakly (star model degenerates otherwise).
-        const int pins = net_pins[static_cast<std::size_t>(net)];
-        double w = 1.0 / std::max(1.0, std::sqrt(static_cast<double>(pins)));
-        if (!net_weights.empty()) {
-          w *= 1.0 + knobs_.timing_weight * 4.0 *
-                         net_weights[static_cast<std::size_t>(net)];
-        }
-        tx += w * net_cx[static_cast<std::size_t>(net)];
-        ty += w * net_cy[static_cast<std::size_t>(net)];
+      // The fanout net, then the fanins in pin order.
+      for (std::size_t k = cell_begin_[i]; k < cell_begin_[i + 1]; ++k) {
+        const auto net = static_cast<std::size_t>(cell_nets_[k]);
+        const double w = s.pull_weight[net];
+        tx += w * s.net_cx[net];
+        ty += w * s.net_cy[net];
         wsum += w;
-      };
-      pull(cell.fanout_net);
-      for (const int f : cell.fanin_nets) pull(f);
+      }
       if (wsum <= 0.0) continue;
       tx /= wsum;
       ty /= wsum;
@@ -280,29 +303,44 @@ void Placer::force_step(Placement& p, std::span<const double> net_weights,
   });
 }
 
-void Placer::update_maps(Placement& p) const {
+void Placer::update_maps(Placement& p, Scratch& s) const {
   const std::size_t bins = static_cast<std::size_t>(grid_) * grid_;
-  // Per-chunk partial maps, merged in fixed chunk order: the FP sums are
-  // independent of worker count.
-  std::array<std::vector<double>, kChunks> util_part;
-  std::array<std::vector<double>, kChunks> demand_part;
+  // Per-chunk partial maps and HPWL sums, merged in fixed chunk order: the
+  // FP sums are independent of worker count.
   for_units(kChunks, [&](std::size_t ch) {
-    auto& util = util_part[ch];
-    auto& demand = demand_part[ch];
+    auto& util = s.util_part[ch];
+    auto& demand = s.demand_part[ch];
     util.assign(bins, 0.0);
     demand.assign(bins, 0.0);
+    auto& tiles = s.tile_part[ch];
+    auto& boundary = s.boundary_part[ch];
+    for (auto& t : tiles) t.clear();
+    boundary.clear();
+    // Density, each cell's bin, and its spread class: a cell in a
+    // tile-interior bin reads and writes only inside that tile.
     const auto [cb, ce] = chunk_range(
         static_cast<std::size_t>(nl_.cell_count()), ch, kChunks);
     for (std::size_t c = cb; c < ce; ++c) {
-      util[static_cast<std::size_t>(bin_of(p.x[c], p.y[c]))] +=
-          nl_.cell_type(static_cast<int>(c)).area;
+      const int b = bin_of(p.x[c], p.y[c]);
+      s.cell_bin[c] = b;
+      util[static_cast<std::size_t>(b)] += cell_area_[c];
+      const int tile = interior_tile_[static_cast<std::size_t>(b)];
+      (tile >= 0 ? tiles[static_cast<std::size_t>(tile)] : boundary)
+          .push_back(static_cast<int>(c));
     }
     // RUDY-style demand: each net spreads its half-perimeter wirelength
-    // uniformly over the bins its bounding box covers.
+    // uniformly over the bins its bounding box covers. The same boxes give
+    // the chunk's HPWL, summed in net order.
     const auto [nb, ne] = chunk_range(
         static_cast<std::size_t>(nl_.net_count()), ch, kChunks);
+    double hpwl = 0.0;
     for (std::size_t net = nb; net < ne; ++net) {
-      const Bbox bb = net_bbox(nl_, p, static_cast<int>(net));
+      Bbox bb;
+      for (std::size_t k = net_begin_[net]; k < net_begin_[net + 1]; ++k) {
+        const auto pin = static_cast<std::size_t>(net_pins_[k]);
+        bb.expand(p.x[pin], p.y[pin]);
+      }
+      hpwl += bb.hpwl();
       if (bb.pins < 2) continue;
       const double d = std::max(bb.hpwl(), kMinSpan);
       const int bx0 = std::clamp(static_cast<int>(bb.x0 * grid_), 0, grid_ - 1);
@@ -324,14 +362,17 @@ void Placer::update_maps(Placement& p) const {
         for (; bx <= bx1; ++bx) row[bx] += per_bin;
       }
     }
+    s.hpwl_part[ch] = hpwl;
   });
   p.bin_utilization.assign(bins, 0.0);
   p.routing_demand.assign(bins, 0.0);
+  s.hpwl = 0.0;
   for (std::size_t ch = 0; ch < kChunks; ++ch) {
     for (std::size_t b = 0; b < bins; ++b) {
-      p.bin_utilization[b] += util_part[ch][b];
-      p.routing_demand[b] += demand_part[ch][b];
+      p.bin_utilization[b] += s.util_part[ch][b];
+      p.routing_demand[b] += s.demand_part[ch][b];
     }
+    s.hpwl += s.hpwl_part[ch];
   }
   for (std::size_t b = 0; b < bins; ++b) {
     p.bin_utilization[b] /= std::max(bin_cap_[b], 1e-12);
@@ -351,13 +392,10 @@ void Placer::update_maps(Placement& p) const {
   }
 }
 
-void Placer::spread_step(Placement& p, int iteration) const {
-  update_maps(p);
+void Placer::spread_step(Placement& p, Scratch& s, int iteration) const {
+  update_maps(p, s);
   const int passes =
       1 + static_cast<int>(std::lround(2.0 * knobs_.congestion_effort));
-  constexpr int kTiles = kTileSide * kTileSide;
-  std::array<std::vector<int>, kTiles> tile_cells;
-  std::vector<int> boundary_cells;
   for (int pass = 0; pass < passes; ++pass) {
     const std::uint64_t nudge_base = util::hash_combine(
         util::hash_combine(seed_, kSpreadTag),
@@ -367,11 +405,11 @@ void Placer::spread_step(Placement& p, int iteration) const {
     // keeping the in-flight utilization map current. The landing position
     // is clamped INSIDE the chosen bin, so a move only ever writes bins in
     // the 3x3 neighborhood — the guarantee tile disjointness rests on.
+    // A cell is processed at most once per pass and only its own move
+    // changes its position, so the map pass's cached bin is still its bin.
     const auto process_cell = [&](int c) {
       const std::size_t ci = static_cast<std::size_t>(c);
-      const double x = p.x[ci];
-      const double y = p.y[ci];
-      const std::size_t b = static_cast<std::size_t>(bin_of(x, y));
+      const std::size_t b = static_cast<std::size_t>(s.cell_bin[ci]);
       const bool too_dense = p.bin_utilization[b] > knobs_.density_target;
       const bool too_congested =
           knobs_.congestion_effort > 0.0 &&
@@ -416,56 +454,38 @@ void Placer::spread_step(Placement& p, int iteration) const {
         p.x[ci] = nxp;
         p.y[ci] = nyp;
         // Keep the utilization map roughly current while spreading.
-        const double area = nl_.cell_type(c).area;
+        const double area = cell_area_[ci];
         p.bin_utilization[b] -= area / std::max(bin_cap_[b], 1e-12);
         const std::size_t nb = static_cast<std::size_t>(bin_of(nxp, nyp));
         p.bin_utilization[nb] += area / std::max(bin_cap_[nb], 1e-12);
       }
     };
-    // Partition: a cell in a tile-interior bin reads and writes only
-    // inside that tile, so tiles can run concurrently without interacting.
-    // Everything else is a boundary cell, fixed up sequentially (in cell
-    // order) after the tiles finish.
-    for (auto& t : tile_cells) t.clear();
-    boundary_cells.clear();
-    for (int c = 0; c < nl_.cell_count(); ++c) {
-      const int tile = interior_tile_[static_cast<std::size_t>(
-          bin_of(p.x[static_cast<std::size_t>(c)],
-                 p.y[static_cast<std::size_t>(c)]))];
-      if (tile >= 0) {
-        tile_cells[static_cast<std::size_t>(tile)].push_back(c);
-      } else {
-        boundary_cells.push_back(c);
-      }
-    }
+    // Tiles run concurrently without interacting; boundary cells are fixed
+    // up sequentially (in cell order) after the tiles finish. The map pass
+    // classified each chunk's cells; chunk order is cell order.
+    std::size_t boundary = 0;
+    for (const auto& part : s.boundary_part) boundary += part.size();
     {
       VPR_TRACE_SPAN("place.spread.tiles", "place",
                      obs::TraceArgs{{"pass", static_cast<std::int64_t>(pass)},
                                     {"boundary", static_cast<std::int64_t>(
-                                                     boundary_cells.size())}});
+                                                     boundary)}});
       for_units(kTiles, [&](std::size_t tile) {
-        for (const int c : tile_cells[tile]) process_cell(c);
+        for (const auto& part : s.tile_part) {
+          for (const int c : part[tile]) process_cell(c);
+        }
       });
     }
-    for (const int c : boundary_cells) process_cell(c);
-    update_maps(p);
-  }
-}
-
-double Placer::total_hpwl(const Placement& p) const {
-  std::array<double, kChunks> partial{};
-  for_units(kChunks, [&](std::size_t ch) {
-    const auto [begin, end] = chunk_range(
-        static_cast<std::size_t>(nl_.net_count()), ch, kChunks);
-    double total = 0.0;
-    for (std::size_t net = begin; net < end; ++net) {
-      total += net_bbox(nl_, p, static_cast<int>(net)).hpwl();
+    {
+      VPR_TRACE_SPAN("place.spread.boundary", "place",
+                     obs::TraceArgs{{"cells", static_cast<std::int64_t>(
+                                                  boundary)}});
+      for (const auto& part : s.boundary_part) {
+        for (const int c : part) process_cell(c);
+      }
     }
-    partial[ch] = total;
-  });
-  double total = 0.0;
-  for (const double t : partial) total += t;
-  return total;
+    update_maps(p, s);
+  }
 }
 
 Placement Placer::run(std::span<const double> net_weights,
@@ -479,6 +499,22 @@ Placement Placer::run(std::span<const double> net_weights,
                                               nl_.cell_count())},
                                 {"workers", static_cast<std::int64_t>(
                                                 workers_)}});
+  const auto nets = static_cast<std::size_t>(nl_.net_count());
+  Scratch s;
+  s.net_cx.resize(nets);
+  s.net_cy.resize(nets);
+  s.cell_bin.resize(static_cast<std::size_t>(nl_.cell_count()));
+  // Force-model pull of each net, fixed for the run: high-fanout nets pull
+  // weakly (star model degenerates otherwise), timing-critical ones harder.
+  s.pull_weight.resize(nets);
+  for (std::size_t net = 0; net < nets; ++net) {
+    const auto pins = static_cast<int>(net_begin_[net + 1] - net_begin_[net]);
+    double w = 1.0 / std::max(1.0, std::sqrt(static_cast<double>(pins)));
+    if (!net_weights.empty()) {
+      w *= 1.0 + knobs_.timing_weight * 4.0 * net_weights[net];
+    }
+    s.pull_weight[net] = w;
+  }
   Placement p;
   // No map build here: the force step reads only x/y, and every spread
   // step rebuilds both maps before it reads them.
@@ -488,12 +524,14 @@ Placement Placer::run(std::span<const double> net_weights,
         1.0 - static_cast<double>(it) / knobs_.iterations;
     {
       VPR_TRACE_SPAN("place.force", "place");
-      force_step(p, net_weights, temperature, it);
+      force_step(p, s, temperature, it);
     }
     {
       VPR_TRACE_SPAN("place.spread", "place");
-      spread_step(p, it);
+      spread_step(p, s, it);
     }
+    // The spread step ends with a map pass at the final positions, so its
+    // HPWL is this step's.
     if (trajectory != nullptr) {
       int overflowed = 0;
       double excess = 0.0;
@@ -506,10 +544,10 @@ Placement Placer::run(std::span<const double> net_weights,
           static_cast<double>(overflowed) / static_cast<double>(bins));
       trajectory->step_overflow.push_back(excess /
                                           static_cast<double>(bins));
-      trajectory->step_hpwl.push_back(total_hpwl(p));
+      trajectory->step_hpwl.push_back(s.hpwl);
     }
   }
-  p.hpwl = total_hpwl(p);
+  p.hpwl = s.hpwl;
   return p;
 }
 

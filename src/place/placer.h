@@ -14,16 +14,24 @@
 // sequential stream), and merge partial reductions in fixed unit order.
 // Worker count only decides how many units run concurrently.
 //
+//  - connectivity: the constructor flattens the netlist into CSR arrays
+//    (net -> pins, driver first then sinks in order; cell -> nets, fanout
+//    net then fanins in pin order) plus a per-cell area array, so the hot
+//    loops never chase per-net/per-cell vectors;
 //  - force step: per-net centroids then per-cell moves, both embarrassingly
 //    parallel over fixed chunks;
+//  - map pass: one chunked pass builds both density/RUDY partial maps, the
+//    per-chunk HPWL partials (the trajectory's and the final HPWL) and each
+//    cell's bin and spread class; partials merge in chunk order;
 //  - spread step: cells whose 3x3 bin neighborhood lies inside one spatial
 //    tile are processed tile-parallel (each tile owns its bins, so the
 //    in-flight utilization updates never cross tiles); cells on tile
 //    boundaries are deferred to a sequential fixup pass in cell order.
 //    Whether a bin is tile-interior depends only on the grid, so the
-//    constructor builds a per-bin table (tile id, or -1 on a boundary) and
-//    each pass classifies a cell by one lookup of its bin;
-//  - density/RUDY maps and HPWL: per-chunk partials merged in chunk order.
+//    constructor builds a per-bin table (tile id, or -1 on a boundary).
+//    Each map chunk classifies its own cells by one lookup of their cached
+//    bin; concatenating the chunks' lists in chunk order yields ascending
+//    cell order, as a serial scan would.
 
 #include <cstdint>
 #include <span>
@@ -87,14 +95,16 @@ class Placer {
   // unit count never derives from it.
   static constexpr int kChunks = 16;    // cell/net chunks for reductions
   static constexpr int kTileSide = 4;   // spatial tile grid (kTileSide^2)
+  static constexpr int kTiles = kTileSide * kTileSide;
+
+  struct Scratch;  // per-run buffers, owned by run()
 
   void for_units(std::size_t n, const std::function<void(std::size_t)>& body) const;
   void seed_initial(Placement& p) const;
-  void force_step(Placement& p, std::span<const double> net_weights,
-                  double temperature, int iteration) const;
-  void spread_step(Placement& p, int iteration) const;
-  void update_maps(Placement& p) const;
-  [[nodiscard]] double total_hpwl(const Placement& p) const;
+  void force_step(Placement& p, Scratch& s, double temperature,
+                  int iteration) const;
+  void spread_step(Placement& p, Scratch& s, int iteration) const;
+  void update_maps(Placement& p, Scratch& s) const;
   [[nodiscard]] bool in_blockage(double x, double y) const;
   [[nodiscard]] int bin_of(double x, double y) const;
 
@@ -108,6 +118,13 @@ class Placer {
   std::vector<double> bin_cap_;    // per-bin capacity (blockage-derated)
   double routing_capacity_;        // RUDY demand a bin can absorb
   std::vector<int> interior_tile_; // per bin: its tile if interior, else -1
+  // Flat connectivity (CSR): pins of net n are
+  // net_pins_[net_begin_[n] .. net_begin_[n+1]); nets of cell c likewise.
+  std::vector<std::size_t> net_begin_;
+  std::vector<int> net_pins_;
+  std::vector<std::size_t> cell_begin_;
+  std::vector<int> cell_nets_;
+  std::vector<double> cell_area_;
 };
 
 }  // namespace vpr::place

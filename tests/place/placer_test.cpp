@@ -256,5 +256,103 @@ TEST(Placer, SuiteFingerprintMatchesParent) {
   EXPECT_EQ(suite_fingerprint(4, &pool), kSuiteFingerprint);
 }
 
+/// A handmade netlist with the connectivity shapes generated designs may
+/// lack: driverless primary-input nets, an isolated net with no pins at
+/// all, driver-only nets (outputs nobody reads), cells that read one net
+/// on both input pins (a duplicated sink), a macro blockage and timing
+/// weights. ~3000 cells give a 12x12 grid, so tiles have interior bins.
+netlist::Netlist handmade_design() {
+  using netlist::Func;
+  using netlist::Vt;
+  netlist::Netlist nl{"handmade",
+                      netlist::CellLibrary::make({"28nm", 28.0}), 1.0};
+  const netlist::CellLibrary& lib = nl.library();
+  const int inv = lib.find(Func::kInv, 1, Vt::kStandard);
+  const int nand = lib.find(Func::kNand2, 2, Vt::kStandard);
+  const int dff = lib.find(Func::kDff, 1, Vt::kLow);
+  std::vector<int> readable;
+  for (int i = 0; i < 12; ++i) {
+    const int pi = nl.add_net();
+    nl.mark_primary_input(pi);
+    readable.push_back(pi);
+  }
+  (void)nl.add_net();  // no driver, no sinks
+  util::Rng rng{0x4a4dc0deULL};
+  for (int c = 0; c < 3000; ++c) {
+    const int out = nl.add_net();
+    const auto pick = [&] {
+      return readable[readable.size() - 1 -
+                      rng.index(std::min<std::size_t>(readable.size(), 40))];
+    };
+    int cell = 0;
+    if (c % 9 == 4) {
+      const int in = pick();
+      cell = nl.add_cell(nand, {in, in}, out);  // duplicated sink
+    } else if (c % 7 == 0) {
+      cell = nl.add_cell(dff, {pick()}, out);
+    } else if (c % 3 == 0) {
+      cell = nl.add_cell(inv, {pick()}, out);
+    } else {
+      cell = nl.add_cell(nand, {pick(), pick()}, out);
+    }
+    nl.set_cell_cluster(cell, c / 500);
+    // Every 11th output is never read: a driver-only net.
+    if (c % 11 != 5) readable.push_back(out);
+  }
+  nl.add_blockage({.x0 = 0.30, .y0 = 0.35, .x1 = 0.55, .y1 = 0.62});
+  return nl;
+}
+
+/// The handmade netlist's hash of x, y, both maps, hpwl and the trajectory
+/// at three knob sets, the last timing-weighted. The constant was captured
+/// before the placer read flat pin arrays.
+constexpr std::uint64_t kHandmadeFingerprint = 8883028846522861013ULL;
+
+std::uint64_t handmade_fingerprint(int workers, util::ThreadPool* pool) {
+  const auto nl = handmade_design();
+  std::uint64_t h = 0x4a4d5eedULL;
+  const auto mix = [&h](const std::vector<double>& v) {
+    h = util::hash_combine(h, v.size());
+    for (const double d : v) {
+      h = util::hash_combine(h, std::bit_cast<std::uint64_t>(d));
+    }
+  };
+  std::vector<double> weights(static_cast<std::size_t>(nl.net_count()));
+  for (std::size_t n = 0; n < weights.size(); ++n) {
+    weights[n] = static_cast<double>((n * 5) % 11) / 10.0;
+  }
+  const PlacerKnobs knob_sets[] = {
+      {},
+      {.density_target = 0.5, .congestion_effort = 1.0, .perturbation = 0.8,
+       .iterations = 4},
+      {.timing_weight = 0.9, .congestion_effort = 0.6, .iterations = 3},
+  };
+  for (const PlacerKnobs& knobs : knob_sets) {
+    Placer placer{nl, knobs, 77, workers, pool};
+    PlaceTrajectory traj;
+    const Placement p = placer.run(
+        knobs.timing_weight > 0.0 ? std::span<const double>{weights}
+                                  : std::span<const double>{},
+        &traj);
+    mix(p.x);
+    mix(p.y);
+    mix(p.bin_utilization);
+    mix(p.routing_demand);
+    mix({p.hpwl});
+    mix(traj.step_congestion);
+    mix(traj.step_overflow);
+    mix(traj.step_hpwl);
+  }
+  return h;
+}
+
+TEST(Placer, HandmadeEdgeCasesMatchParent) {
+  const auto nl = handmade_design();
+  ASSERT_EQ(Placer(nl, PlacerKnobs{}, 1).grid(), 12);
+  util::ThreadPool pool{3};
+  EXPECT_EQ(handmade_fingerprint(1, nullptr), kHandmadeFingerprint);
+  EXPECT_EQ(handmade_fingerprint(4, &pool), kHandmadeFingerprint);
+}
+
 }  // namespace
 }  // namespace vpr::place
