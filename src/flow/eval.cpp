@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -13,12 +12,6 @@
 namespace vpr::flow {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// The process-wide flow.eval.* series every FlowEval instance feeds.
 /// Registered once; counter updates are relaxed atomic RMWs, and the
@@ -85,11 +78,12 @@ FlowEvalStats stats_delta(const FlowEvalStats& now,
 }
 
 /// Records one executed flow run: wall time, its distribution and the
-/// per-stage split.
-void record_run(const StageTimes& t, double elapsed) {
+/// per-stage split, all from the run's own clock reads (total_ms spans
+/// exactly the run's `flow.run` trace span).
+void record_run(const StageTimes& t) {
   EvalMetrics& m = EvalMetrics::get();
-  m.eval_seconds.add(elapsed);
-  m.eval_ms.observe(elapsed * 1e3);
+  m.eval_seconds.add(t.total_ms / 1e3);
+  m.eval_ms.observe(t.total_ms);
   m.place_seconds.add(t.place_ms / 1e3);
   m.cts_seconds.add(t.cts_ms / 1e3);
   m.route_seconds.add(t.route_ms / 1e3);
@@ -106,51 +100,26 @@ double FlowEvalStats::hit_rate() const {
   return static_cast<double>(hits) / static_cast<double>(lookups);
 }
 
-struct FlowEval::Entry {
-  std::mutex m;
-  bool ready = false;
-  Qor qor;
-};
-
 std::size_t FlowEval::KeyHash::operator()(const Key& key) const noexcept {
   return static_cast<std::size_t>(util::hash_combine(key.first, key.second));
 }
 
-/// A design's persistent Flow and its probing run. Owns a Design copy
-/// (regenerated from the traits, which is deterministic) so the cached
-/// Flow never dangles on a caller-owned Design that goes away between
-/// evaluations. Eviction is LRU over kMaxWarmFlows holders; an evicted
-/// holder stays alive (shared_ptr) until in-flight evaluations on it
-/// finish.
+/// A design's persistent Flow and its probing run. Owns a copy of the
+/// caller's Design (whose netlist is a pure function of the traits the
+/// fingerprint hashes), so the cached Flow never dangles on a caller-owned
+/// Design that goes away between evaluations. An evicted holder stays
+/// alive (shared_ptr) until in-flight evaluations on it finish.
 struct FlowEval::FlowHolder {
-  explicit FlowHolder(const Design& d) : design(d.traits()), flow(design) {}
+  explicit FlowHolder(const Design& d) : design(d), flow(design) {}
   Design design;
   Flow flow;
-  std::uint64_t tick = 0;  // guarded by FlowEval::flows_mutex_
-  std::mutex probe_mutex;  // held by the claiming thread while it probes
-  std::unique_ptr<FlowResult> probe;
+  mutable detail::MemoCell<FlowResult> probe;
 };
 
-std::shared_ptr<FlowEval::FlowHolder> FlowEval::flow_for(const Design& design,
-                                                         std::uint64_t fp) {
-  std::lock_guard lk{flows_mutex_};
-  std::shared_ptr<FlowHolder>& slot = flows_[fp];
-  if (!slot) {
-    if (flows_.size() > kMaxWarmFlows) {
-      auto oldest = flows_.end();
-      for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-        if (it->second &&
-            (oldest == flows_.end() ||
-             it->second->tick < oldest->second->tick)) {
-          oldest = it;
-        }
-      }
-      if (oldest != flows_.end()) flows_.erase(oldest);
-    }
-    slot = std::make_shared<FlowHolder>(design);
-  }
-  slot->tick = ++flow_tick_;
-  return slot;
+std::shared_ptr<const FlowEval::FlowHolder> FlowEval::flow_for(
+    const Design& design, std::uint64_t fp) {
+  return flows_.get(fp, "warm_flow",
+                    [&] { return std::make_shared<const FlowHolder>(design); });
 }
 
 FlowEval::FlowEval() : baseline_(registry_stats()) {}
@@ -192,35 +161,19 @@ std::uint64_t FlowEval::fingerprint(const Design& design) {
 
 Qor FlowEval::eval(const Design& design, const RecipeSet& recipes) {
   const std::uint64_t fp = fingerprint(design);
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard lk{mutex_};
-    std::shared_ptr<Entry>& slot = entries_[Key{fp, recipes.to_u64()}];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
-  }
-
-  // The entry lock makes evaluation exactly-once: the first thread to
-  // arrive runs the flow, concurrent requesters for the same key block
-  // here and wake up to a warm hit.
-  std::lock_guard elk{entry->m};
+  bool ran = false;
+  const auto qor = qor_.get(Key{fp, recipes.to_u64()}, "qor", [&] {
+    VPR_TRACE_SPAN("flow.eval.miss", "flow",
+                   obs::TraceArgs{{"design", design.name()},
+                                  {"recipes", recipes.to_string()}});
+    const FlowResult run = flow_for(design, fp)->flow.run(recipes);
+    record_run(run.stage_times);
+    ran = true;
+    return std::make_shared<const Qor>(run.qor);
+  });
   EvalMetrics& metrics = EvalMetrics::get();
-  if (entry->ready) {
-    metrics.hits.inc();
-    return entry->qor;
-  }
-
-  VPR_TRACE_SPAN("flow.eval.miss", "flow",
-                 obs::TraceArgs{{"design", design.name()},
-                                {"recipes", recipes.to_string()}});
-  const auto e0 = Clock::now();
-  const std::shared_ptr<FlowHolder> holder = flow_for(design, fp);
-  const FlowResult run_result = holder->flow.run(recipes);
-  entry->qor = run_result.qor;
-  entry->ready = true;
-  metrics.misses.inc();
-  record_run(run_result.stage_times, seconds_since(e0));
-  return entry->qor;
+  (ran ? metrics.misses : metrics.hits).inc();
+  return *qor;
 }
 
 const FlowResult& FlowEval::probe(const Design& design) {
@@ -229,23 +182,21 @@ const FlowResult& FlowEval::probe(const Design& design) {
 
 std::shared_ptr<const FlowResult> FlowEval::probe_pinned(
     const Design& design) {
-  const std::shared_ptr<FlowHolder> holder =
+  const std::shared_ptr<const FlowHolder> holder =
       flow_for(design, fingerprint(design));
-  std::lock_guard lk{holder->probe_mutex};
-  EvalMetrics& metrics = EvalMetrics::get();
-  if (holder->probe) {
-    metrics.probe_hits.inc();
-  } else {
+  bool ran = false;
+  auto result = holder->probe.get("probe", [&] {
     VPR_TRACE_SPAN("flow.eval.probe", "flow",
                    obs::TraceArgs{{"design", design.name()}});
-    const auto e0 = Clock::now();
-    holder->probe =
-        std::make_unique<FlowResult>(holder->flow.run(RecipeSet{}));
-    metrics.probe_misses.inc();
-    record_run(holder->probe->stage_times, seconds_since(e0));
-  }
-  // Shares ownership of the holder, which owns the probe.
-  return {holder, holder->probe.get()};
+    auto run =
+        std::make_shared<const FlowResult>(holder->flow.run(RecipeSet{}));
+    record_run(run->stage_times);
+    ran = true;
+    return run;
+  });
+  EvalMetrics& metrics = EvalMetrics::get();
+  (ran ? metrics.probe_misses : metrics.probe_hits).inc();
+  return result;
 }
 
 void FlowEval::eval_many(
@@ -277,6 +228,9 @@ void FlowEval::eval_many(
       obs::TraceArgs{{"sets", static_cast<std::int64_t>(sets.size())},
                      {"placements",
                       static_cast<std::int64_t>(placements.size())}});
+  // Every miss of the waves needs the design's warm Flow: build it here,
+  // so that none of them waits (flow.memo.wait) on another building it.
+  if (!sets.empty()) (void)flow_for(design, fingerprint(design));
   const auto run_wave = [&](const std::vector<std::size_t>& wave) {
     util::ThreadPool::shared().parallel_for(wave.size(), [&](std::size_t w) {
       sink(wave[w], eval(design, sets[wave[w]]));
@@ -287,28 +241,21 @@ void FlowEval::eval_many(
 }
 
 FlowEvalStats FlowEval::stats() const {
-  std::lock_guard lk{mutex_};
+  std::lock_guard lk{baseline_mutex_};
   return stats_delta(registry_stats(), baseline_);
 }
 
 void FlowEval::reset_stats() {
-  std::lock_guard lk{mutex_};
+  std::lock_guard lk{baseline_mutex_};
   baseline_ = registry_stats();
 }
 
 void FlowEval::clear() {
-  {
-    std::lock_guard lk{flows_mutex_};
-    flows_.clear();
-  }
-  std::lock_guard lk{mutex_};
-  entries_.clear();
-  baseline_ = registry_stats();
+  flows_.clear();
+  qor_.clear();
+  reset_stats();
 }
 
-std::size_t FlowEval::size() const {
-  std::lock_guard lk{mutex_};
-  return entries_.size();
-}
+std::size_t FlowEval::size() const { return qor_.size(); }
 
 }  // namespace vpr::flow

@@ -6,13 +6,13 @@
 // run moments earlier; since the flow is deterministic, each pair needs to
 // be evaluated exactly once per process.
 //
-// The memo is one in-memory map keyed by (design fingerprint,
+// The memo is one in-memory table keyed by (design fingerprint,
 // RecipeSet::to_u64()), where the fingerprint hashes every DesignTraits
-// field. Concurrent requests for the same key block on the entry until the
-// single evaluation finishes (hit), never duplicating work. Probing runs
-// (default recipe set, full FlowResult kept for insight extraction) are
-// kept with the design's warm Flow and evicted with it (kMaxWarmFlows,
-// LRU).
+// field. Each key is claimed once (flow/memo.h): concurrent requests for
+// it wait for the single evaluation instead of duplicating it, and a
+// finished entry is read without a lock. Probing runs (default recipe
+// set, full FlowResult kept for insight extraction) are kept with the
+// design's warm Flow and evicted with it (kMaxWarmFlows, LRU).
 //
 // Observability: hit/miss counters and flow wall time live in the
 // process-wide obs::MetricsRegistry (flow.eval.* series, exported by
@@ -27,10 +27,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "flow/flow.h"
+#include "flow/memo.h"
 #include "flow/recipe.h"
 
 namespace vpr::flow {
@@ -77,8 +77,8 @@ class FlowEval {
   const FlowResult& probe(const Design& design);
 
   /// probe() for callers that run while other designs are evaluated: the
-  /// pointer shares ownership of the design's warm Flow, so the result
-  /// stays valid however many designs are touched meanwhile.
+  /// pointer shares ownership of the result, so it stays valid however
+  /// many designs are touched meanwhile.
   std::shared_ptr<const FlowResult> probe_pinned(const Design& design);
 
   /// Evaluates `sets` (deduplicated via the cache) on the shared
@@ -104,7 +104,6 @@ class FlowEval {
   static FlowEval& shared();
 
  private:
-  struct Entry;
   struct FlowHolder;
   using Key = std::pair<std::uint64_t, std::uint64_t>;  // (fingerprint, bits)
   struct KeyHash {
@@ -112,25 +111,18 @@ class FlowEval {
   };
 
   /// The persistent Flow and probe slot for `design` (owning its own
-  /// Design copy so the caller's may die), creating/LRU-evicting as
-  /// needed. Keeping Flows alive across evaluations is what lets the
-  /// placement + route memo amortize work across recipe sets on one
-  /// design.
-  std::shared_ptr<FlowHolder> flow_for(const Design& design,
-                                       std::uint64_t fp);
+  /// Design copy so the caller's may die), built on first use. Keeping
+  /// Flows alive across evaluations is what lets the placement + route
+  /// memo amortize work across recipe sets on one design.
+  std::shared_ptr<const FlowHolder> flow_for(const Design& design,
+                                             std::uint64_t fp);
 
-  // Guards entries_ and baseline_. Held only to look up or insert an
-  // entry; evaluations run under the entry's own lock instead.
-  mutable std::mutex mutex_;
-  std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> entries_;
+  detail::Memo<Key, Qor, KeyHash> qor_;  // never evicted
+  detail::Memo<std::uint64_t, FlowHolder> flows_{kMaxWarmFlows};
   // Registry (flow.eval.*) values at construction / reset_stats();
   // stats() = registry now - baseline.
+  mutable std::mutex baseline_mutex_;
   FlowEvalStats baseline_;
-  // Separate from mutex_ so that building a design's warm Flow (netlist
-  // generation, milliseconds on large designs) never stalls QoR lookups.
-  std::mutex flows_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<FlowHolder>> flows_;
-  std::uint64_t flow_tick_ = 0;
 };
 
 }  // namespace vpr::flow

@@ -1,10 +1,9 @@
 #include "flow/flow.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -36,20 +35,6 @@ double stage_ms(const char* name, Clock::time_point t0,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// Locks a claimed memo entry. An uncontended lock records nothing; when
-/// another run holds the entry while it computes the value, the wait is
-/// recorded as a `flow.memo.wait` span inside the caller's stage span, so
-/// a trace tells waiting for a concurrent place/route from doing it.
-std::unique_lock<std::mutex> lock_memo_entry(std::mutex& mu,
-                                             const char* stage) {
-  std::unique_lock lk{mu, std::try_to_lock};
-  if (!lk.owns_lock()) {
-    VPR_TRACE_SPAN("flow.memo.wait", "flow", obs::TraceArgs{{"stage", stage}});
-    lk.lock();
-  }
-  return lk;
-}
-
 /// Technology-derived wire parasitics (per normalized die unit). Advanced
 /// nodes: thinner wires => higher resistance-dominated delay per unit, cap
 /// slightly lower.
@@ -71,103 +56,7 @@ WireParams wire_params(const netlist::TechNode& node) {
 Design::Design(netlist::DesignTraits traits)
     : traits_(std::move(traits)), netlist_(netlist::generate(traits_)) {}
 
-/// Memo that outlives a single run() on the same Flow, shared by
-/// concurrent runs. Placements are memoized because most recipe sets
-/// leave the placer knobs at their defaults, so successive runs on one
-/// design re-place identically; entries are evicted LRU. Each entry also
-/// keeps the routing results of its placement per router knobs: the
-/// netlist is still the pristine design netlist when routing runs, and
-/// routing is a pure function of (placement, RouterKnobs), so a stored
-/// result is bitwise what GlobalRouter would return. Routes are evicted
-/// with their placement, and oldest-first beyond kMaxPlacements per entry.
-///
-/// Every entry is claimed once, like FlowEval's entries: `mu` is held
-/// only to look up, insert and evict, and the first run to lock a new
-/// entry computes its value while holding the entry's own mutex, so a
-/// concurrent run with the same key blocks on it (a `flow.memo.wait`
-/// span) and then copies the result instead of placing or routing again.
-/// A value never changes once `ready` is set, so a run that finds the
-/// entry ready copies it without the lock: concurrent hits on one entry
-/// never wait on each other. Runs hold entries by shared_ptr, so an entry
-/// evicted mid-run stays valid for them.
-struct Flow::Scratch {
-  struct CachedRoute {
-    explicit CachedRoute(const route::RouterKnobs& k) : knobs(k) {}
-    const route::RouterKnobs knobs;
-    std::mutex mu;  // held by the claiming run while it routes
-    std::atomic<bool> ready{false};  // set under mu once final
-    route::RoutingResult routing;
-  };
-
-  struct CachedPlacement {
-    CachedPlacement(const place::PlacerKnobs& k, std::uint64_t s,
-                    std::span<const double> w)
-        : knobs(k), salt(s), weights(w.begin(), w.end()) {}
-    const place::PlacerKnobs knobs;
-    const std::uint64_t salt;  // seed salt (initial vs timing-driven pass)
-    const std::vector<double> weights;
-    std::mutex mu;  // held by the claiming run while it places
-    std::atomic<bool> ready{false};  // set under mu once final
-    place::Placement placement;
-    place::PlaceTrajectory trajectory;
-    // Guarded by Scratch::mu.
-    std::uint64_t tick = 0;
-    std::vector<std::shared_ptr<CachedRoute>> routes;
-  };
-
-  static constexpr std::size_t kMaxPlacements = 8;
-
-  /// The entry for (knobs, salt, weights), inserted (evicting the least
-  /// recently used one) if absent.
-  std::shared_ptr<CachedPlacement> placement_entry(
-      const place::PlacerKnobs& knobs, std::uint64_t salt,
-      std::span<const double> weights) {
-    std::lock_guard lk{mu};
-    for (const auto& e : placements) {
-      if (e->salt == salt && e->knobs == knobs &&
-          std::equal(e->weights.begin(), e->weights.end(), weights.begin(),
-                     weights.end())) {
-        e->tick = ++tick;
-        return e;
-      }
-    }
-    if (placements.size() >= kMaxPlacements) {
-      auto oldest = placements.begin();
-      for (auto it = oldest; it != placements.end(); ++it) {
-        if ((*it)->tick < (*oldest)->tick) oldest = it;
-      }
-      placements.erase(oldest);
-    }
-    auto e = std::make_shared<CachedPlacement>(knobs, salt, weights);
-    e->tick = ++tick;
-    placements.push_back(e);
-    return e;
-  }
-
-  /// The route entry for `knobs` under `placement`, inserted (evicting
-  /// the oldest one) if absent.
-  std::shared_ptr<CachedRoute> route_entry(CachedPlacement& placement,
-                                           const route::RouterKnobs& knobs) {
-    std::lock_guard lk{mu};
-    for (const auto& r : placement.routes) {
-      if (r->knobs == knobs) return r;
-    }
-    if (placement.routes.size() >= kMaxPlacements) {
-      placement.routes.erase(placement.routes.begin());
-    }
-    return placement.routes.emplace_back(
-        std::make_shared<CachedRoute>(knobs));
-  }
-
-  std::mutex mu;  // guards placements, tick and each entry's tick/routes
-  std::vector<std::shared_ptr<CachedPlacement>> placements;
-  std::uint64_t tick = 0;
-};
-
-Flow::Flow(const Design& design)
-    : design_(design), scratch_(std::make_unique<Scratch>()) {}
-
-Flow::~Flow() = default;
+Flow::Flow(const Design& design) : design_(design) {}
 
 FlowKnobs Flow::resolve_knobs(const RecipeSet& recipes) const {
   FlowKnobs knobs;  // engine defaults
@@ -233,7 +122,7 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   // fresh run would produce. The memo hands out copies — hold fixing
   // appends buffer locations to the run's placement. `memo` is the entry
   // of the latest (final) placement, which routing is memoized under.
-  std::shared_ptr<Scratch::CachedPlacement> memo;
+  std::shared_ptr<const Placed> memo;
   const auto make_placement =
       [&](std::uint64_t salt, std::span<const double> weights,
           place::PlaceTrajectory& traj) -> place::Placement {
@@ -243,18 +132,13 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
       return placer.run(weights, &out);
     };
     if (!incremental) return run_placer(traj);
-    memo = scratch_->placement_entry(knobs.place, salt, weights);
-    if (!memo->ready.load(std::memory_order_acquire)) {
-      const auto lk = lock_memo_entry(memo->mu, "place");
-      if (!memo->ready.load(std::memory_order_relaxed)) {
-        // The placer appends to its trajectory, so a run retrying after a
-        // throw must not start from the failed run's partial one.
-        place::PlaceTrajectory fresh;
-        memo->placement = run_placer(fresh);
-        memo->trajectory = std::move(fresh);
-        memo->ready.store(true, std::memory_order_release);
-      }
-    }
+    memo = placements_.get(
+        PlaceKey{knobs.place, salt, {weights.begin(), weights.end()}},
+        "place", [&] {
+          auto placed = std::make_shared<Placed>();
+          placed->placement = run_placer(placed->trajectory);
+          return placed;
+        });
     traj = memo->trajectory;
     return memo->placement;
   };
@@ -325,17 +209,11 @@ FlowResult Flow::run_impl(const RecipeSet& recipes, bool incremental) const {
   };
   bool memo_hit = false;
   if (memo != nullptr) {
-    const auto entry = scratch_->route_entry(*memo, knobs.route);
-    memo_hit = entry->ready.load(std::memory_order_acquire);
-    if (!memo_hit) {
-      const auto lk = lock_memo_entry(entry->mu, "route");
-      memo_hit = entry->ready.load(std::memory_order_relaxed);
-      if (!memo_hit) {
-        entry->routing = run_router();
-        entry->ready.store(true, std::memory_order_release);
-      }
-    }
-    result.routing = entry->routing;
+    memo_hit = true;
+    result.routing = *memo->routes.get(knobs.route, "route", [&] {
+      memo_hit = false;
+      return std::make_shared<const route::RoutingResult>(run_router());
+    });
   } else {
     result.routing = run_router();
   }

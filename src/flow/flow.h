@@ -11,10 +11,10 @@
 // is a pure function of (design, recipe set).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cts/cts.h"
+#include "flow/memo.h"
 #include "flow/recipe.h"
 #include "netlist/generator.h"
 #include "netlist/netlist.h"
@@ -95,7 +95,6 @@ class Design {
 class Flow {
  public:
   explicit Flow(const Design& design);
-  ~Flow();
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
 
@@ -108,10 +107,10 @@ class Flow {
   ///    net weights), and each memoized placement keeps its routing
   ///    results per router knobs (routing runs before optimization touches
   ///    the netlist, so it is a pure function of placement and knobs).
-  /// Thread-safe: concurrent run() calls on one Flow share the memo. Each
-  /// placement and route is computed once, by the first run to claim it;
-  /// a concurrent run with the same key waits for that result and copies
-  /// it.
+  /// Thread-safe: concurrent run() calls on one Flow share the memo
+  /// (flow/memo.h). Each placement and route is computed once, by the
+  /// first run to claim it; a concurrent run with the same key waits for
+  /// that result and copies it.
   [[nodiscard]] FlowResult run(const RecipeSet& recipes) const;
 
   /// Same flow with a fresh sta::TimingAnalyzer per STA call, the placer
@@ -124,13 +123,33 @@ class Flow {
   [[nodiscard]] FlowKnobs resolve_knobs(const RecipeSet& recipes) const;
 
  private:
-  struct Scratch;  // placement + route memo (flow.cpp)
+  /// Placements kept per Flow, and routes kept per placement (LRU).
+  static constexpr std::size_t kMemoCapacity = 8;
+
+  struct PlaceKey {
+    place::PlacerKnobs knobs;
+    std::uint64_t salt = 0;  // seed salt (initial vs timing-driven pass)
+    std::vector<double> weights;
+    friend bool operator==(const PlaceKey&, const PlaceKey&) = default;
+  };
+
+  /// A memoized placement and the routes on it, evicted with it. The
+  /// netlist is still the pristine design netlist when routing runs, so a
+  /// route is a pure function of (placement, RouterKnobs).
+  struct Placed {
+    place::Placement placement;
+    place::PlaceTrajectory trajectory;
+    mutable detail::Memo<route::RouterKnobs, route::RoutingResult,
+                         detail::OneBucket>
+        routes{kMemoCapacity};
+  };
 
   [[nodiscard]] FlowResult run_impl(const RecipeSet& recipes,
                                     bool incremental) const;
 
   const Design& design_;
-  mutable std::unique_ptr<Scratch> scratch_;
+  mutable detail::Memo<PlaceKey, Placed, detail::OneBucket> placements_{
+      kMemoCapacity};
 };
 
 }  // namespace vpr::flow

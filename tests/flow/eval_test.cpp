@@ -118,6 +118,39 @@ TEST(FlowEval, ProbeIsEvictedWithItsWarmFlow) {
   EXPECT_EQ(again.drcs, oldest.drcs);
 }
 
+TEST(FlowEval, EvalSecondsIsTheSumOfFlowRunSpans) {
+  // eval_seconds books the flow runs alone, from the clock reads of their
+  // flow.run spans: building a fresh design's warm Flow on its first miss
+  // is not flow time.
+  FlowEval eval;
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    netlist::DesignTraits t = eval_traits("evClock", 9200 + i);
+    t.name += std::to_string(i);
+    const Design design{t};
+    (void)eval.eval(design, RecipeSet::from_ids({4}));
+    (void)eval.eval(design, RecipeSet::from_ids({4, 12}));
+    (void)eval.probe(design);
+  }
+  recorder.set_enabled(false);
+  std::int64_t span_us = 0;
+  std::uint64_t runs = 0;
+  for (const obs::TraceEvent& e : recorder.snapshot()) {
+    if (e.name != "flow.run") continue;
+    span_us += e.dur_us;
+    ++runs;
+  }
+  recorder.clear();
+  const FlowEvalStats s = eval.stats();
+  ASSERT_EQ(runs, s.evaluations());
+  ASSERT_EQ(runs, 9u);
+  // A span's duration is truncated to whole microseconds.
+  EXPECT_NEAR(s.eval_seconds * 1e6, static_cast<double>(span_us),
+              static_cast<double>(runs));
+}
+
 TEST(FlowEval, EvalManyPopulatesEverySlot) {
   // Every set appears 4 times, one whole copy after another, so pool
   // participants request the same keys at once; each key must still run
