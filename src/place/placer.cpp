@@ -42,6 +42,16 @@ struct Bbox {
   }
 };
 
+/// The two deviates (x, then y) that nudge cell `cell`'s spread move in
+/// the pass whose stream base is `base`.
+std::array<double, 2> draw_nudge(std::uint64_t base, std::size_t cell,
+                                 int grid) {
+  util::Rng rng{util::hash_combine(base, static_cast<std::uint64_t>(cell))};
+  const double dx = rng.normal(0.0, 0.2 / grid);
+  const double dy = rng.normal(0.0, 0.2 / grid);
+  return {dx, dy};
+}
+
 Bbox net_bbox(const netlist::Netlist& nl, const Placement& p, int net_id) {
   Bbox bb;
   const auto& net = nl.net(net_id);
@@ -72,11 +82,28 @@ struct Placer::Scratch {
   // in each tile's interior, and those on tile boundaries.
   std::array<std::array<std::vector<int>, kTiles>, kChunks> tile_part;
   std::array<std::vector<int>, kChunks> boundary_part;
+  // The next pass's (x, y) nudge of each boundary_part cell, in its order.
+  std::array<std::vector<std::array<double, 2>>, kChunks> nudge_part;
+  // Per bin, as of the last map pass: 0.5 * routing demand, and whether
+  // routing congestion alone makes its cells spread.
+  std::vector<double> half_demand;
+  std::vector<std::uint8_t> congested;
   double hpwl = 0.0;  // total HPWL as of the last map pass
 };
 
 double Placement::net_hpwl(const netlist::Netlist& nl, int net) const {
   return net_bbox(nl, *this, net).hpwl();
+}
+
+LandingColumn landing_column(int v, int grid) noexcept {
+  return {.center = (v + 0.5) / grid,
+          .lo = (v + 1e-3) / grid,
+          .hi = (v + 1.0 - 1e-3) / grid};
+}
+
+double land(const LandingColumn& col, double nudge) noexcept {
+  return std::clamp(std::clamp(col.center + nudge, col.lo, col.hi), 0.001,
+                    0.999);
 }
 
 Placer::Placer(const netlist::Netlist& netlist, PlacerKnobs knobs,
@@ -116,33 +143,49 @@ Placer::Placer(const netlist::Netlist& netlist, PlacerKnobs knobs,
       std::clamp(nl_.library().node().feature_nm / 45.0, 0.1, 1.0);
   routing_capacity_ = 1.35 + 0.75 * node_scale;
 
-  // A bin is tile-interior when every in-grid bin of its 3x3 neighborhood
-  // maps to its own tile; a cell's class in the spread step depends only
-  // on its bin, so it is looked up here instead of rechecked per cell.
-  const auto tile_of_bin = [this](int bx, int by) {
-    return (by * kTileSide / grid_) * kTileSide + (bx * kTileSide / grid_);
-  };
-  interior_tile_.assign(bin_cap_.size(), -1);
+  // Each bin's in-grid 3x3 neighborhood, in the order the spread step's
+  // argmin scans it (dy-major, dx-minor), so ties break alike.
+  neighbor_begin_.reserve(bin_cap_.size() + 1);
+  neighbor_begin_.push_back(0);
   for (int by = 0; by < grid_; ++by) {
     for (int bx = 0; bx < grid_; ++bx) {
-      const int tile = tile_of_bin(bx, by);
-      bool interior = true;
-      for (int dy = -1; dy <= 1 && interior; ++dy) {
+      for (int dy = -1; dy <= 1; ++dy) {
         for (int dx = -1; dx <= 1; ++dx) {
           const int nx = bx + dx;
           const int ny = by + dy;
           if (nx < 0 || ny < 0 || nx >= grid_ || ny >= grid_) continue;
-          if (tile_of_bin(nx, ny) != tile) {
-            interior = false;
-            break;
-          }
+          neighbors_.push_back(ny * grid_ + nx);
         }
       }
-      if (interior) {
-        interior_tile_[static_cast<std::size_t>(by) * grid_ + bx] = tile;
-      }
+      neighbor_begin_.push_back(static_cast<int>(neighbors_.size()));
     }
   }
+  // A bin is tile-interior when every bin of its neighborhood maps to its
+  // own tile; a cell's class in the spread step depends only on its bin,
+  // so it is looked up here instead of rechecked per cell.
+  const auto tile_of_bin = [this](int b) {
+    return (b / grid_ * kTileSide / grid_) * kTileSide +
+           (b % grid_ * kTileSide / grid_);
+  };
+  interior_tile_.assign(bin_cap_.size(), -1);
+  for (int b = 0; b < grid_ * grid_; ++b) {
+    const int tile = tile_of_bin(b);
+    if (std::all_of(neighbors_.begin() + neighbor_begin_[b],
+                    neighbors_.begin() + neighbor_begin_[b + 1],
+                    [&](int nb) { return tile_of_bin(nb) == tile; })) {
+      interior_tile_[static_cast<std::size_t>(b)] = tile;
+    }
+  }
+  // The argmin's other pass-static terms: each bin's blockage penalty,
+  // which of the two capacities it has, and the landing geometry.
+  bin_penalty_.reserve(bin_cap_.size());
+  bin_derated_.reserve(bin_cap_.size());
+  for (const double cap : bin_cap_) {
+    bin_penalty_.push_back(cap < bin_capacity_ * 0.5 ? 10.0 : 0.0);
+    bin_derated_.push_back(cap != bin_capacity_ ? 1 : 0);
+  }
+  columns_.reserve(static_cast<std::size_t>(grid_));
+  for (int v = 0; v < grid_; ++v) columns_.push_back(landing_column(v, grid_));
 
   const int n = nl_.cell_count();
   const int nets = nl_.net_count();
@@ -160,13 +203,18 @@ Placer::Placer(const netlist::Netlist& netlist, PlacerKnobs knobs,
   cell_begin_.reserve(static_cast<std::size_t>(n) + 1);
   cell_begin_.push_back(0);
   cell_area_.reserve(static_cast<std::size_t>(n));
+  cell_load_.reserve(static_cast<std::size_t>(n));
+  const double full_cap = std::max(bin_capacity_, 1e-12);
+  const double derated_cap = std::max(bin_capacity_ * 0.05, 1e-12);
   for (int c = 0; c < n; ++c) {
     const auto& cell = nl_.cell(c);
     cell_nets_.push_back(cell.fanout_net);
     cell_nets_.insert(cell_nets_.end(), cell.fanin_nets.begin(),
                       cell.fanin_nets.end());
     cell_begin_.push_back(cell_nets_.size());
-    cell_area_.push_back(nl_.cell_type(c).area);
+    const double area = nl_.cell_type(c).area;
+    cell_area_.push_back(area);
+    cell_load_.push_back({area / full_cap, area / derated_cap});
   }
 }
 
@@ -303,7 +351,14 @@ void Placer::force_step(Placement& p, Scratch& s, double temperature,
   });
 }
 
-void Placer::update_maps(Placement& p, Scratch& s) const {
+std::uint64_t Placer::nudge_base(int iteration, int pass) const {
+  return util::hash_combine(util::hash_combine(seed_, kSpreadTag),
+                            (static_cast<std::uint64_t>(iteration) << 8) |
+                                static_cast<std::uint64_t>(pass));
+}
+
+void Placer::update_maps(Placement& p, Scratch& s,
+                         std::optional<std::uint64_t> nudge_base) const {
   const std::size_t bins = static_cast<std::size_t>(grid_) * grid_;
   // Per-chunk partial maps and HPWL sums, merged in fixed chunk order: the
   // FP sums are independent of worker count.
@@ -314,10 +369,14 @@ void Placer::update_maps(Placement& p, Scratch& s) const {
     demand.assign(bins, 0.0);
     auto& tiles = s.tile_part[ch];
     auto& boundary = s.boundary_part[ch];
+    auto& nudges = s.nudge_part[ch];
     for (auto& t : tiles) t.clear();
     boundary.clear();
+    nudges.clear();
     // Density, each cell's bin, and its spread class: a cell in a
-    // tile-interior bin reads and writes only inside that tile.
+    // tile-interior bin reads and writes only inside that tile. A boundary
+    // cell's nudges are drawn here, off the sequential fixup; its stream
+    // is its own, so drawing it early or unused changes no other draw.
     const auto [cb, ce] = chunk_range(
         static_cast<std::size_t>(nl_.cell_count()), ch, kChunks);
     for (std::size_t c = cb; c < ce; ++c) {
@@ -325,8 +384,12 @@ void Placer::update_maps(Placement& p, Scratch& s) const {
       s.cell_bin[c] = b;
       util[static_cast<std::size_t>(b)] += cell_area_[c];
       const int tile = interior_tile_[static_cast<std::size_t>(b)];
-      (tile >= 0 ? tiles[static_cast<std::size_t>(tile)] : boundary)
-          .push_back(static_cast<int>(c));
+      if (tile >= 0) {
+        tiles[static_cast<std::size_t>(tile)].push_back(static_cast<int>(c));
+        continue;
+      }
+      boundary.push_back(static_cast<int>(c));
+      if (nudge_base) nudges.push_back(draw_nudge(*nudge_base, c, grid_));
     }
     // RUDY-style demand: each net spreads its half-perimeter wirelength
     // uniformly over the bins its bounding box covers. The same boxes give
@@ -385,106 +448,102 @@ void Placer::update_maps(Placement& p, Scratch& s) const {
   for (const double d : p.routing_demand) mean_demand += d;
   mean_demand /= std::max<std::size_t>(1, p.routing_demand.size());
   const double cap = std::max(routing_capacity_ * mean_demand, 1e-12);
-  for (std::size_t b = 0; b < p.routing_demand.size(); ++b) {
+  // The spread step's per-bin routing terms are fixed until the next map
+  // pass, so they are stored here rather than recomputed per visit.
+  const bool congestion = knobs_.congestion_effort > 0.0;
+  const double congested_above = 1.0 - 0.4 * knobs_.congestion_effort;
+  s.half_demand.resize(bins);
+  s.congested.resize(bins);
+  for (std::size_t b = 0; b < bins; ++b) {
     const double blockage_derate =
         bin_cap_[b] < bin_capacity_ * 0.5 ? 0.25 : 1.0;
     p.routing_demand[b] /= cap * blockage_derate;
+    s.half_demand[b] = 0.5 * p.routing_demand[b];
+    s.congested[b] = congestion && p.routing_demand[b] > congested_above;
   }
 }
 
 void Placer::spread_step(Placement& p, Scratch& s, int iteration) const {
-  update_maps(p, s);
   const int passes =
       1 + static_cast<int>(std::lround(2.0 * knobs_.congestion_effort));
+  update_maps(p, s, nudge_base(iteration, 0));
   for (int pass = 0; pass < passes; ++pass) {
-    const std::uint64_t nudge_base = util::hash_combine(
-        util::hash_combine(seed_, kSpreadTag),
-        (static_cast<std::uint64_t>(iteration) << 8) |
-            static_cast<std::uint64_t>(pass));
+    const std::uint64_t base = nudge_base(iteration, pass);
     // Moves one cell toward the least-loaded bin of its 3x3 neighborhood,
-    // keeping the in-flight utilization map current. The landing position
-    // is clamped INSIDE the chosen bin, so a move only ever writes bins in
-    // the 3x3 neighborhood — the guarantee tile disjointness rests on.
-    // A cell is processed at most once per pass and only its own move
-    // changes its position, so the map pass's cached bin is still its bin.
-    const auto process_cell = [&](int c) {
+    // keeping the in-flight utilization map current; `nudge(c)` yields the
+    // cell's (x, y) deviates and is called only when it leaves its bin.
+    // land() keeps the landing point INSIDE the chosen bin, so a move only
+    // ever writes bins in the 3x3 neighborhood — the guarantee tile
+    // disjointness rests on. A cell is processed at most once per pass and
+    // only its own move changes its position, so the map pass's cached bin
+    // is still its bin. Returns whether the cell moved.
+    const auto process_cell = [&](int c, const auto& nudge) {
       const std::size_t ci = static_cast<std::size_t>(c);
       const std::size_t b = static_cast<std::size_t>(s.cell_bin[ci]);
       const bool too_dense = p.bin_utilization[b] > knobs_.density_target;
-      const bool too_congested =
-          knobs_.congestion_effort > 0.0 &&
-          p.routing_demand[b] > 1.0 - 0.4 * knobs_.congestion_effort;
-      if (!too_dense && !too_congested) return;
-      const int bx = static_cast<int>(b) % grid_;
-      const int by = static_cast<int>(b) / grid_;
+      if (!too_dense && s.congested[b] == 0) return false;
       double best_score = 1e18;
-      int best_bx = bx;
-      int best_by = by;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int nx = bx + dx;
-          const int ny = by + dy;
-          if (nx < 0 || ny < 0 || nx >= grid_ || ny >= grid_) continue;
-          const std::size_t nb = static_cast<std::size_t>(ny) * grid_ + nx;
-          const double score =
-              p.bin_utilization[nb] + 0.5 * p.routing_demand[nb] +
-              (bin_cap_[nb] < bin_capacity_ * 0.5 ? 10.0 : 0.0);
-          if (score < best_score) {
-            best_score = score;
-            best_bx = nx;
-            best_by = ny;
-          }
+      std::size_t best = b;
+      for (int k = neighbor_begin_[b]; k < neighbor_begin_[b + 1]; ++k) {
+        const auto nb = static_cast<std::size_t>(neighbors_[k]);
+        const double score = p.bin_utilization[nb] + s.half_demand[nb] +
+                             bin_penalty_[nb];
+        if (score < best_score) {
+          best_score = score;
+          best = nb;
         }
       }
-      if (best_bx == bx && best_by == by) return;
-      util::Rng rng{util::hash_combine(nudge_base, static_cast<std::uint64_t>(c))};
-      const double lo_x = (best_bx + 1e-3) / grid_;
-      const double hi_x = (best_bx + 1.0 - 1e-3) / grid_;
-      const double lo_y = (best_by + 1e-3) / grid_;
-      const double hi_y = (best_by + 1.0 - 1e-3) / grid_;
-      const double nxp = std::clamp(
-          std::clamp((best_bx + 0.5) / grid_ + rng.normal(0.0, 0.2 / grid_),
-                     lo_x, hi_x),
-          0.001, 0.999);
-      const double nyp = std::clamp(
-          std::clamp((best_by + 0.5) / grid_ + rng.normal(0.0, 0.2 / grid_),
-                     lo_y, hi_y),
-          0.001, 0.999);
-      if (!in_blockage(nxp, nyp)) {
-        p.x[ci] = nxp;
-        p.y[ci] = nyp;
-        // Keep the utilization map roughly current while spreading.
-        const double area = cell_area_[ci];
-        p.bin_utilization[b] -= area / std::max(bin_cap_[b], 1e-12);
-        const std::size_t nb = static_cast<std::size_t>(bin_of(nxp, nyp));
-        p.bin_utilization[nb] += area / std::max(bin_cap_[nb], 1e-12);
-      }
+      if (best == b) return false;
+      const auto [dx, dy] = nudge(c);
+      const double nxp = land(columns_[best % grid_], dx);
+      const double nyp = land(columns_[best / grid_], dy);
+      if (in_blockage(nxp, nyp)) return false;
+      p.x[ci] = nxp;
+      p.y[ci] = nyp;
+      // Keep the utilization map roughly current while spreading.
+      const auto& load = cell_load_[ci];
+      p.bin_utilization[b] -= load[bin_derated_[b]];
+      const auto nb = static_cast<std::size_t>(bin_of(nxp, nyp));
+      p.bin_utilization[nb] += load[bin_derated_[nb]];
+      return true;
     };
-    // Tiles run concurrently without interacting; boundary cells are fixed
-    // up sequentially (in cell order) after the tiles finish. The map pass
-    // classified each chunk's cells; chunk order is cell order.
+    // Tiles run concurrently without interacting and draw their nudges
+    // inline; boundary cells are fixed up sequentially (in cell order)
+    // after the tiles finish, with the nudges their map chunk drew. The
+    // map pass classified each chunk's cells; chunk order is cell order.
     std::size_t boundary = 0;
     for (const auto& part : s.boundary_part) boundary += part.size();
+    const std::size_t interior =
+        static_cast<std::size_t>(nl_.cell_count()) - boundary;
     {
       VPR_TRACE_SPAN("place.spread.tiles", "place",
-                     obs::TraceArgs{{"pass", static_cast<std::int64_t>(pass)},
-                                    {"boundary", static_cast<std::int64_t>(
-                                                     boundary)}});
+                     obs::TraceArgs{{"pass", pass}, {"cells", interior}});
+      const auto draw = [&](int c) {
+        return draw_nudge(base, static_cast<std::size_t>(c), grid_);
+      };
       for_units(kTiles, [&](std::size_t tile) {
         for (const auto& part : s.tile_part) {
-          for (const int c : part[tile]) process_cell(c);
+          for (const int c : part[tile]) process_cell(c, draw);
         }
       });
     }
     {
-      VPR_TRACE_SPAN("place.spread.boundary", "place",
-                     obs::TraceArgs{{"cells", static_cast<std::int64_t>(
-                                                  boundary)}});
-      for (const auto& part : s.boundary_part) {
-        for (const int c : part) process_cell(c);
+      obs::TraceSpan span{"place.spread.boundary", "place",
+                          obs::TraceArgs{{"cells", boundary}}};
+      std::size_t moved = 0;
+      for (std::size_t ch = 0; ch < kChunks; ++ch) {
+        const auto& cells = s.boundary_part[ch];
+        const auto& nudges = s.nudge_part[ch];
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          if (process_cell(cells[i], [&](int) { return nudges[i]; })) ++moved;
+        }
       }
+      span.arg("moved", moved);
     }
-    update_maps(p, s);
+    update_maps(p, s,
+                pass + 1 < passes
+                    ? std::optional{nudge_base(iteration, pass + 1)}
+                    : std::nullopt);
   }
 }
 

@@ -32,8 +32,23 @@
 //    Each map chunk classifies its own cells by one lookup of their cached
 //    bin; concatenating the chunks' lists in chunk order yields ascending
 //    cell order, as a serial scan would.
+//    The sequential fixup computes only what reads the in-flight
+//    utilization map (the density test, the 3x3 argmin, the landing clamp,
+//    the blockage test and the two utilization updates). Everything else
+//    is precomputed where it runs in parallel or once: the constructor
+//    tables each bin's in-grid neighbours (dy-major, dx-minor, the scan
+//    order, so ties break alike), its blockage penalty, each column's
+//    landing geometry and each cell's area over both bin capacities; the
+//    map pass's normalization loop stores 0.5 * routing demand and the
+//    congested test per bin (routing demand does not change during a
+//    pass); and each map chunk draws the next pass's nudge deviates for
+//    its boundary cells. Every precomputed value is the same expression on
+//    the same operands, and a nudge stream depends only on (seed,
+//    iteration, pass, cell), so the output is bitwise unchanged.
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -71,6 +86,23 @@ struct PlaceTrajectory {
   std::vector<double> step_hpwl;
 };
 
+/// Landing geometry of one grid column (or row, the grid is square) for
+/// the spread step: the column's centre and the interval, 1e-3 bin widths
+/// inside its edges, that a landing point is clamped to.
+struct LandingColumn {
+  double center = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+[[nodiscard]] LandingColumn landing_column(int v, int grid) noexcept;
+
+/// Where a spread move lands along one axis: the column centre plus the
+/// nudge, clamped into the column and then into the die [0.001, 0.999].
+/// The landing point maps back to the column for any nudge, so a move only
+/// writes bins of the cell's 3x3 neighborhood.
+[[nodiscard]] double land(const LandingColumn& col, double nudge) noexcept;
+
 class Placer {
  public:
   /// `workers` is the parallelism cap: 1 (the default) runs every unit
@@ -104,7 +136,11 @@ class Placer {
   void force_step(Placement& p, Scratch& s, double temperature,
                   int iteration) const;
   void spread_step(Placement& p, Scratch& s, int iteration) const;
-  void update_maps(Placement& p, Scratch& s) const;
+  /// Rebuilds both maps and the spread classes; with `nudge_base`, also
+  /// draws the next pass's nudges for the boundary cells.
+  void update_maps(Placement& p, Scratch& s,
+                   std::optional<std::uint64_t> nudge_base) const;
+  [[nodiscard]] std::uint64_t nudge_base(int iteration, int pass) const;
   [[nodiscard]] bool in_blockage(double x, double y) const;
   [[nodiscard]] int bin_of(double x, double y) const;
 
@@ -118,6 +154,13 @@ class Placer {
   std::vector<double> bin_cap_;    // per-bin capacity (blockage-derated)
   double routing_capacity_;        // RUDY demand a bin can absorb
   std::vector<int> interior_tile_; // per bin: its tile if interior, else -1
+  // Per bin: its in-grid 3x3 neighbours, dy-major then dx-minor, are
+  // neighbors_[neighbor_begin_[b] .. neighbor_begin_[b+1]).
+  std::vector<int> neighbor_begin_;
+  std::vector<int> neighbors_;
+  std::vector<double> bin_penalty_;      // 10.0 in a blockage, else 0.0
+  std::vector<std::uint8_t> bin_derated_;  // 1 where bin_cap_ is derated
+  std::vector<LandingColumn> columns_;   // per grid column (and row)
   // Flat connectivity (CSR): pins of net n are
   // net_pins_[net_begin_[n] .. net_begin_[n+1]); nets of cell c likewise.
   std::vector<std::size_t> net_begin_;
@@ -125,6 +168,9 @@ class Placer {
   std::vector<std::size_t> cell_begin_;
   std::vector<int> cell_nets_;
   std::vector<double> cell_area_;
+  // Per cell: area / max(cap, 1e-12) for the full and the derated bin
+  // capacity, the only two values bin_cap_ holds.
+  std::vector<std::array<double, 2>> cell_load_;
 };
 
 }  // namespace vpr::place

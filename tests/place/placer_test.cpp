@@ -149,6 +149,25 @@ TEST(Placer, RejectsBadInputs) {
   EXPECT_THROW((void)ok.run(wrong_size), std::invalid_argument);
 }
 
+/// The spread step's landing invariant, which tile disjointness and the
+/// per-column landing tables rest on: for every grid the placer builds,
+/// every column and nudges of 0 and +-10 bin widths, the landing point
+/// maps back to the chosen column and stays inside the die.
+TEST(Placer, LandingPointMapsBackToItsColumn) {
+  for (int grid = 8; grid <= 64; ++grid) {
+    for (int v = 0; v < grid; ++v) {
+      const LandingColumn col = landing_column(v, grid);
+      for (const double nudge : {-10.0 / grid, 0.0, 10.0 / grid}) {
+        const double x = land(col, nudge);
+        EXPECT_EQ(static_cast<int>(x * grid), v)
+            << "grid " << grid << " column " << v << " nudge " << nudge;
+        EXPECT_GE(x, 0.001);
+        EXPECT_LE(x, 0.999);
+      }
+    }
+  }
+}
+
 TEST(Placer, MapsNormalized) {
   const auto nl = test_design();
   Placer placer{nl, PlacerKnobs{}, 8};
@@ -259,9 +278,11 @@ TEST(Placer, SuiteFingerprintMatchesParent) {
 /// A handmade netlist with the connectivity shapes generated designs may
 /// lack: driverless primary-input nets, an isolated net with no pins at
 /// all, driver-only nets (outputs nobody reads), cells that read one net
-/// on both input pins (a duplicated sink), a macro blockage and timing
-/// weights. ~3000 cells give a 12x12 grid, so tiles have interior bins.
-netlist::Netlist handmade_design() {
+/// on both input pins (a duplicated sink) and a macro blockage. Cells from
+/// `isolated_from` on each read a private primary input and drive a net
+/// nobody reads: area without routing demand.
+netlist::Netlist handmade_design(int cells, netlist::Blockage blockage,
+                                 int isolated_from) {
   using netlist::Func;
   using netlist::Vt;
   netlist::Netlist nl{"handmade",
@@ -278,12 +299,18 @@ netlist::Netlist handmade_design() {
   }
   (void)nl.add_net();  // no driver, no sinks
   util::Rng rng{0x4a4dc0deULL};
-  for (int c = 0; c < 3000; ++c) {
+  for (int c = 0; c < cells; ++c) {
     const int out = nl.add_net();
     const auto pick = [&] {
       return readable[readable.size() - 1 -
                       rng.index(std::min<std::size_t>(readable.size(), 40))];
     };
+    if (c >= isolated_from) {
+      const int pi = nl.add_net();
+      nl.mark_primary_input(pi);
+      nl.set_cell_cluster(nl.add_cell(inv, {pi}, out), c / 500);
+      continue;
+    }
     int cell = 0;
     if (c % 9 == 4) {
       const int in = pick();
@@ -299,18 +326,22 @@ netlist::Netlist handmade_design() {
     // Every 11th output is never read: a driver-only net.
     if (c % 11 != 5) readable.push_back(out);
   }
-  nl.add_blockage({.x0 = 0.30, .y0 = 0.35, .x1 = 0.55, .y1 = 0.62});
+  nl.add_blockage(blockage);
   return nl;
 }
 
-/// The handmade netlist's hash of x, y, both maps, hpwl and the trajectory
-/// at three knob sets, the last timing-weighted. The constant was captured
-/// before the placer read flat pin arrays.
-constexpr std::uint64_t kHandmadeFingerprint = 8883028846522861013ULL;
+/// ~3000 cells give a 12x12 grid, so tiles have interior bins.
+netlist::Netlist handmade_design() {
+  return handmade_design(
+      3000, {.x0 = 0.30, .y0 = 0.35, .x1 = 0.55, .y1 = 0.62}, 3000);
+}
 
-std::uint64_t handmade_fingerprint(int workers, util::ThreadPool* pool) {
-  const auto nl = handmade_design();
-  std::uint64_t h = 0x4a4d5eedULL;
+/// Hash of x, y, both maps, hpwl and the trajectory of one placement per
+/// knob set; a timing-weighted set gets per-net weights (n * 5 % 11) / 10.
+std::uint64_t placement_fingerprint(const netlist::Netlist& nl,
+                                    std::span<const PlacerKnobs> knob_sets,
+                                    std::uint64_t h, int workers,
+                                    util::ThreadPool* pool) {
   const auto mix = [&h](const std::vector<double>& v) {
     h = util::hash_combine(h, v.size());
     for (const double d : v) {
@@ -321,12 +352,6 @@ std::uint64_t handmade_fingerprint(int workers, util::ThreadPool* pool) {
   for (std::size_t n = 0; n < weights.size(); ++n) {
     weights[n] = static_cast<double>((n * 5) % 11) / 10.0;
   }
-  const PlacerKnobs knob_sets[] = {
-      {},
-      {.density_target = 0.5, .congestion_effort = 1.0, .perturbation = 0.8,
-       .iterations = 4},
-      {.timing_weight = 0.9, .congestion_effort = 0.6, .iterations = 3},
-  };
   for (const PlacerKnobs& knobs : knob_sets) {
     Placer placer{nl, knobs, 77, workers, pool};
     PlaceTrajectory traj;
@@ -346,12 +371,56 @@ std::uint64_t handmade_fingerprint(int workers, util::ThreadPool* pool) {
   return h;
 }
 
+/// The handmade netlist's fingerprint at three knob sets, the last
+/// timing-weighted. The constant was captured before the placer read flat
+/// pin arrays.
+constexpr std::uint64_t kHandmadeFingerprint = 8883028846522861013ULL;
+
 TEST(Placer, HandmadeEdgeCasesMatchParent) {
   const auto nl = handmade_design();
   ASSERT_EQ(Placer(nl, PlacerKnobs{}, 1).grid(), 12);
+  const PlacerKnobs knob_sets[] = {
+      {},
+      {.density_target = 0.5, .congestion_effort = 1.0, .perturbation = 0.8,
+       .iterations = 4},
+      {.timing_weight = 0.9, .congestion_effort = 0.6, .iterations = 3},
+  };
   util::ThreadPool pool{3};
-  EXPECT_EQ(handmade_fingerprint(1, nullptr), kHandmadeFingerprint);
-  EXPECT_EQ(handmade_fingerprint(4, &pool), kHandmadeFingerprint);
+  EXPECT_EQ(placement_fingerprint(nl, knob_sets, 0x4a4d5eedULL, 1, nullptr),
+            kHandmadeFingerprint);
+  EXPECT_EQ(placement_fingerprint(nl, knob_sets, 0x4a4d5eedULL, 4, &pool),
+            kHandmadeFingerprint);
+}
+
+/// The smallest grid: ~1000 cells give 8x8 bins, so each of the 4x4 tiles
+/// is 2x2 bins and only the four die-corner bins are tile-interior; nearly
+/// every cell goes through the sequential boundary fixup. The blockage
+/// covers bins 1-2 x 3-4, straddling a tile border on both axes, so
+/// blocked and open bins (both capacity classes) neighbour each other
+/// across it. The last 600 cells (the whole second cluster among them)
+/// add no routing demand, so empty bins near them score exactly 0 and the
+/// 3x3 argmin's scan order decides ties. Knob sets: no congestion (one pass,
+/// no bin congested), full congestion at a low density target (three
+/// passes), timing-weighted. The constant was captured before the fixup
+/// read precomputed nudges, neighbour lists and per-bin terms.
+constexpr std::uint64_t kMinimumGridFingerprint = 3464662361824297758ULL;
+
+TEST(Placer, MinimumGridMatchesParent) {
+  const auto nl =
+      handmade_design(1000, {.x0 = 0.15, .y0 = 0.40, .x1 = 0.35, .y1 = 0.60},
+                      400);
+  ASSERT_EQ(Placer(nl, PlacerKnobs{}, 1).grid(), 8);
+  const PlacerKnobs knob_sets[] = {
+      {.congestion_effort = 0.0, .iterations = 4},
+      {.density_target = 0.5, .congestion_effort = 1.0, .perturbation = 0.8,
+       .iterations = 4},
+      {.timing_weight = 0.8, .congestion_effort = 0.5, .iterations = 3},
+  };
+  util::ThreadPool pool{3};
+  EXPECT_EQ(placement_fingerprint(nl, knob_sets, 0x3a3d8eedULL, 1, nullptr),
+            kMinimumGridFingerprint);
+  EXPECT_EQ(placement_fingerprint(nl, knob_sets, 0x3a3d8eedULL, 4, &pool),
+            kMinimumGridFingerprint);
 }
 
 }  // namespace
