@@ -359,6 +359,9 @@ std::uint64_t Placer::nudge_base(int iteration, int pass) const {
 
 void Placer::update_maps(Placement& p, Scratch& s,
                          std::optional<std::uint64_t> nudge_base) const {
+  obs::TraceSpan span{"place.maps", "place"};
+  span.arg("cells", nl_.cell_count());
+  span.arg("nets", nl_.net_count());
   const std::size_t bins = static_cast<std::size_t>(grid_) * grid_;
   // Per-chunk partial maps and HPWL sums, merged in fixed chunk order: the
   // FP sums are independent of worker count.

@@ -35,19 +35,25 @@ RoutingResult GlobalRouter::run() {
   result.grid = grid_;
   std::vector<double> pin_length(pins.size(), 0.0);
   for (int round = 0; round < knobs_.rounds; ++round) {
-    VPR_TRACE_SPAN("route.round", "route",
-                   obs::TraceArgs{{"round", static_cast<std::int64_t>(round)}});
+    obs::TraceSpan span{"route.round", "route",
+                        obs::TraceArgs{{"round", round}}};
     walker.zero_usage();
     const double penalty =
         (1.0 + 2.0 * knobs_.congestion_effort) * (round + 1);
     for (const std::size_t i : order) {
       pin_length[i] = walker.route_two_pin(pins[i], penalty);
     }
-    // Overflow accounting + history update for the next round.
+    // How often the cost intervals alone picked the winner.
+    const detail::EdgeWalker::ScoreCounts counts = walker.take_counts();
+    span.arg("candidates", counts.candidates);
+    span.arg("summed", counts.summed);
+    // Overflow accounting, and the history the next round reads; the
+    // walker dies with this call, so no round after the last reads it.
     const detail::RoundOverflow over =
         detail::account_overflow(walker.h_usage(), walker.v_usage(), capacity);
-    const double history_gain = 0.5 + knobs_.congestion_effort;
-    walker.bump_history(history_gain);
+    if (round + 1 < knobs_.rounds) {
+      walker.bump_history(0.5 + knobs_.congestion_effort);
+    }
     result.round_overflow_edges.push_back(over.over_edges);
     result.overflow_edges = over.over_edges;
     result.total_overflow = over.total_over;

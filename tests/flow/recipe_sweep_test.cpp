@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <variant>
 
 #include "flow/flow.h"
+#include "obs/trace.h"
+#include "place/placer.h"
 
 namespace vpr::flow {
 namespace {
@@ -92,6 +97,38 @@ TEST(RecipeSweep, AllRecipesTogetherStillCompletes) {
   const FlowResult r = flow.run(all);
   EXPECT_GT(r.qor.power, 0.0);
   EXPECT_TRUE(std::isfinite(r.qor.tns));
+}
+
+TEST(RecipeSweep, AllRecipesPlacementTracesEveryMapPass) {
+  // Each spread step rebuilds the maps once up front and once after each
+  // of its passes, and each rebuild is one place.maps span.
+  RecipeSet all;
+  for (int i = 0; i < kNumRecipes; ++i) all.set(i);
+  const Flow flow{tight_design()};
+  const place::PlacerKnobs knobs = flow.resolve_knobs(all).place;
+  const netlist::Netlist& nl = tight_design().netlist();
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  place::Placer placer{nl, knobs, 11};
+  (void)placer.run();
+  recorder.set_enabled(false);
+  int maps = 0;
+  for (const obs::TraceEvent& e : recorder.snapshot()) {
+    if (e.name != "place.maps") continue;
+    ++maps;
+    ASSERT_EQ(e.args.size(), 2u);
+    EXPECT_EQ(e.args[0].key, "cells");
+    EXPECT_EQ(std::get<std::int64_t>(e.args[0].value), nl.cell_count());
+    EXPECT_EQ(e.args[1].key, "nets");
+    EXPECT_EQ(std::get<std::int64_t>(e.args[1].value), nl.net_count());
+  }
+  recorder.clear();
+  const int passes = 1 + static_cast<int>(std::lround(
+                             2.0 * std::clamp(knobs.congestion_effort, 0.0,
+                                              1.0)));
+  EXPECT_GT(knobs.iterations, 0);
+  EXPECT_EQ(maps, knobs.iterations * (passes + 1));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,6 +96,27 @@ struct ReferenceGrid {
     return static_cast<double>(best.size());
   }
 };
+
+/// A candidate's cost on `g`: edge_cost() recomputed per edge and summed
+/// in walk order, as ReferenceGrid::route_pin scores it.
+double reference_path_cost(const ReferenceGrid& g, const detail::TwoPin& p,
+                           int xm, int ym, double penalty, double capacity) {
+  double cost = 0.0;
+  const auto seg = [&](bool vertical, int line, int a, int b) {
+    const auto& usage = vertical ? g.v_usage : g.h_usage;
+    const auto& history = vertical ? g.v_history : g.h_history;
+    for (int t = std::min(a, b); t < std::max(a, b); ++t) {
+      const std::size_t e = static_cast<std::size_t>(line) * (g.grid - 1) +
+                            static_cast<std::size_t>(t);
+      cost += detail::edge_cost(usage.at(e), history.at(e), capacity, penalty);
+    }
+  };
+  seg(false, p.y0, p.x0, xm);
+  seg(true, xm, p.y0, ym);
+  seg(false, ym, xm, p.x1);
+  seg(true, p.x1, ym, p.y1);
+  return cost;
+}
 
 /// GlobalRouter's grid and two-pin connections, in routing order.
 struct Connections {
@@ -334,6 +356,22 @@ TEST_P(RouterSuite, MatchesRecomputingReference) {
                       "D" + std::to_string(GetParam()));
 }
 
+/// The router knobs all 40 recipes resolve to (effort 1.3, clamped to
+/// 1.0): 17 candidates per pin, the most that bounded scoring decides.
+TEST_P(RouterSuite, AllRecipeKnobsMatchRecomputingReference) {
+  const netlist::DesignTraits traits = netlist::suite_design(GetParam());
+  const netlist::Netlist nl = netlist::generate(traits);
+  place::Placer placer{nl, place::PlacerKnobs{}, traits.seed};
+  const place::Placement placement = placer.run();
+  RouterKnobs knobs;
+  knobs.congestion_effort = 1.0;
+  knobs.capacity_derate = 0.92;
+  knobs.rounds = 5;
+  GlobalRouter router{nl, placement, knobs};
+  expect_same_routing(router.run(), reference_route(nl, placement, knobs),
+                      "D" + std::to_string(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDesigns, RouterSuite,
                          ::testing::Range(1, netlist::kSuiteSize + 1));
 
@@ -387,6 +425,97 @@ TEST(RouterCalibrationEdge, SameBinPinsGetMinimumCapacity) {
     expect_same_routing(router.run(),
                         reference_route(fx.nl, same_bin, RouterKnobs{}),
                         "grid " + std::to_string(grid));
+  }
+}
+
+TEST(RouterNearTie, SameEdgesInAnotherWalkOrderAreSummedExactly) {
+  // Five connections load an 8x8 grid at capacity 3 and effort 0.2 (one
+  // round's penalty); then (7,3)->(1,4) has eight candidates. Its L shape
+  // through (1,3) and its detour through (5,3) cross the same edges of
+  // row 3, in the orders 1..6 and 5..6, 1..4, and those walk-order sums
+  // differ in the last bit. The other L shape, through (7,4), ties the
+  // detour and comes first, so it wins. Its prefix estimate is one ulp
+  // above the detour's, so a zero tolerance would not even sum it.
+  RouterKnobs knobs;
+  knobs.congestion_effort = 0.2;
+  const int grid = 8;
+  const double capacity = 3.0;
+  const double penalty = 1.0 + 2.0 * knobs.congestion_effort;
+  ReferenceGrid ref{grid, knobs};
+  detail::EdgeWalker walker;
+  walker.reset(grid, knobs, capacity);
+  const detail::TwoPin load[] = {{0, 1, 3, 6, 4},
+                                 {0, 7, 2, 4, 1},
+                                 {0, 2, 3, 2, 0},
+                                 {0, 1, 6, 7, 7},
+                                 {0, 6, 4, 0, 3}};
+  for (const detail::TwoPin& p : load) {
+    ASSERT_EQ(walker.route_two_pin(p, penalty),
+              ref.route_pin(p, penalty, capacity));
+  }
+  const detail::TwoPin target{0, 7, 3, 1, 4};
+  const double l_row3 =
+      reference_path_cost(ref, target, 1, 3, penalty, capacity);
+  const double detour =
+      reference_path_cost(ref, target, 5, 3, penalty, capacity);
+  const double l_row4 =
+      reference_path_cost(ref, target, 7, 4, penalty, capacity);
+  EXPECT_EQ(detour, std::nextafter(l_row3, 0.0));
+  EXPECT_EQ(l_row4, detour);
+
+  const std::size_t l_row4_vertical = 7 * (grid - 1) + 3;  // (7,3)->(7,4)
+  const double before = ref.v_usage[l_row4_vertical];
+  EXPECT_EQ(walker.route_two_pin(target, penalty),
+            ref.route_pin(target, penalty, capacity));
+  EXPECT_EQ(ref.v_usage[l_row4_vertical], before + 1.0);
+  EXPECT_EQ(walker.h_usage(), ref.h_usage);
+  EXPECT_EQ(walker.v_usage(), ref.v_usage);
+}
+
+TEST(RouterCostBound, PrefixEstimateBracketsTheWalkOrderSum) {
+  // Random cost lines, magnitudes 1 to 1e6 spread log-uniformly, so that
+  // large prefix entries cancel around small segments. Every candidate
+  // geometry, degenerate ones included, must have its walk-order sum
+  // within the tolerance of its prefix estimate.
+  std::mt19937_64 rng{2024};
+  std::uniform_real_distribution<double> exponent{0.0, 6.0};
+  for (const int grid : {2, 3, 5, 8, 13, 25, 40, 64}) {
+    detail::EdgeSet h;
+    detail::EdgeSet v;
+    h.assign(grid);
+    v.assign(grid);
+    double top = 0.0;
+    for (detail::EdgeSet* set : {&h, &v}) {
+      for (double& c : set->cost) c = std::pow(10.0, exponent(rng));
+      for (int line = 0; line < grid; ++line) {
+        top = std::max(top, set->refresh_prefix(grid, line, 0));
+      }
+    }
+    // refresh_prefix() returns each line's largest entry.
+    const auto largest = [](const detail::EdgeSet& set) {
+      return *std::max_element(set.prefix.begin(), set.prefix.end());
+    };
+    EXPECT_EQ(top, std::max(largest(h), largest(v)));
+    const double tol = detail::cost_tol_scale(grid) * top;
+    EXPECT_LT(tol, 1e-10 * top) << "grid " << grid;
+    std::uniform_int_distribution<int> coord{0, grid - 1};
+    double worst = 0.0;
+    for (int trial = 0; trial < 4000; ++trial) {
+      const detail::TwoPin pin{0, coord(rng), coord(rng), coord(rng),
+                               coord(rng)};
+      const detail::Candidate mid{coord(rng), coord(rng)};
+      const double estimate = detail::prefix_cost(grid, h, v, pin, mid);
+      const double fold = detail::path_cost(grid, h, v, pin, mid);
+      worst = std::max(worst, std::abs(estimate - fold));
+      ASSERT_LE(std::abs(estimate - fold), tol)
+          << "grid " << grid << " pin (" << pin.x0 << "," << pin.y0
+          << ")->(" << pin.x1 << "," << pin.y1 << ") mid (" << mid.xm << ","
+          << mid.ym << ")";
+    }
+    // The estimate is not exact, so the bound is doing work.
+    if (grid >= 8) {
+      EXPECT_GT(worst, 0.0) << "grid " << grid;
+    }
   }
 }
 
