@@ -10,7 +10,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,8 +18,10 @@
 #include "align/dataset.h"
 #include "align/evaluator.h"
 #include "flow/flow.h"
+#include "model/snapshot.h"
 #include "netlist/suite.h"
 #include "util/log.h"
+#include "util/serialize.h"
 
 namespace vpr::bench {
 
@@ -86,13 +87,13 @@ inline World load_world() {
     world.designs.push_back(world.owned.back().get());
   }
   const std::string tag = fast_mode() ? "fast" : "full";
-  const std::string path = align::cache_dir() + "/dataset_" + tag + ".bin";
+  const std::string path = util::cache_dir() + "/dataset_" + tag + ".bin";
   if (auto cached = align::load_dataset(path);
       cached.has_value() && cached->size() == world.designs.size()) {
     world.dataset = std::move(*cached);
     return world;
   }
-  std::filesystem::create_directories(align::cache_dir());
+  std::filesystem::create_directories(util::cache_dir());
   world.dataset = align::OfflineDataset::build(world.designs,
                                                dataset_config());
   if (!align::save_dataset(world.dataset, dataset_config().weights, path)) {
@@ -105,7 +106,7 @@ inline World load_world() {
 /// Cross-validation result, computed once and cached.
 inline align::CrossValidationResult load_cv(const World& world) {
   const std::string tag = fast_mode() ? "fast" : "full";
-  const std::string path = align::cache_dir() + "/cv_" + tag + ".bin";
+  const std::string path = util::cache_dir() + "/cv_" + tag + ".bin";
   if (auto cached = align::load_cv_result(path);
       cached.has_value() && cached->rows.size() == world.designs.size()) {
     return *cached;
@@ -127,10 +128,11 @@ inline align::RecipeModel holdout_model(const World& world,
   util::Rng rng{util::hash_combine(0x5eedf00dULL, holdout_index)};
   align::RecipeModel model{align::ModelConfig{}, rng};
   const std::string tag = fast_mode() ? "fast" : "full";
-  const std::string path = align::cache_dir() + "/model_holdout_" +
-                           std::to_string(holdout_index) + "_" + tag + ".bin";
-  if (std::ifstream is{path, std::ios::binary}; is) {
-    model.load(is);
+  const std::string path = util::cache_dir() + "/model_holdout_" +
+                           std::to_string(holdout_index) + "_" + tag + ".snap";
+  if (const model::LoadResult cached = model::load_snapshot_file(path);
+      cached.ok() && cached.snapshot->state.size() == model.parameter_count()) {
+    model.load_state(cached.snapshot->state);
     return model;
   }
   std::vector<std::size_t> train_split;
@@ -139,9 +141,14 @@ inline align::RecipeModel holdout_model(const World& world,
   }
   align::AlignmentTrainer trainer{model, train_config()};
   trainer.train(world.dataset, train_split);
-  std::filesystem::create_directories(align::cache_dir());
-  std::ofstream os{path, std::ios::binary};
-  model.save(os);
+  std::filesystem::create_directories(util::cache_dir());
+  model::Snapshot snapshot;
+  snapshot.meta = "holdout " + std::to_string(holdout_index) + " " + tag;
+  snapshot.state = model.state();
+  if (!model::save_snapshot_file(snapshot, path)) {
+    VPR_LOG(Warn) << "failed to write model cache " << path
+                  << "; the next run will retrain";
+  }
   return model;
 }
 

@@ -39,8 +39,6 @@ bool read_point(std::istream& is, DataPoint& p) {
 
 }  // namespace
 
-std::string cache_dir() { return util::cache_dir(); }
-
 bool save_dataset(const OfflineDataset& dataset, const QorWeights& weights,
                   const std::string& path) {
   std::error_code ec;
@@ -164,11 +162,6 @@ std::optional<CrossValidationResult> load_cv_result(const std::string& path) {
     if (!read_pod(is, a)) return std::nullopt;
   }
   return result;
-}
-
-OfflineDataset dataset_from_designs(std::vector<DesignData> designs,
-                                    const QorWeights& weights) {
-  return OfflineDataset::from_designs(std::move(designs), weights);
 }
 
 }  // namespace vpr::align

@@ -11,8 +11,8 @@
 // failures (full disk, unwritable target) so callers can warn instead of
 // leaving truncated files behind.
 //
-// Set INSIGHTALIGN_CACHE_DIR to relocate the cache; delete the directory to
-// force regeneration.
+// util::cache_dir() names the cache (INSIGHTALIGN_CACHE_DIR relocates it);
+// delete the directory to force regeneration.
 
 #include <optional>
 #include <string>
@@ -21,11 +21,6 @@
 #include "align/evaluator.h"
 
 namespace vpr::align {
-
-/// Cache directory from INSIGHTALIGN_CACHE_DIR (default
-/// "insightalign_cache" under the current directory). Created on demand by
-/// the save functions.
-[[nodiscard]] std::string cache_dir();
 
 /// Returns false when the stream went bad (the file may be truncated and
 /// will be rejected by load_dataset).
@@ -41,9 +36,5 @@ namespace vpr::align {
                                   const std::string& path);
 [[nodiscard]] std::optional<CrossValidationResult> load_cv_result(
     const std::string& path);
-
-/// Rebuilds `dataset` from raw design data (used by load_dataset and tests).
-[[nodiscard]] OfflineDataset dataset_from_designs(
-    std::vector<DesignData> designs, const QorWeights& weights);
 
 }  // namespace vpr::align

@@ -31,12 +31,13 @@ TrainMetrics Pipeline::fit(OfflineDataset dataset) {
   return metrics;
 }
 
-void Pipeline::restore(OfflineDataset dataset, std::istream& model_stream) {
+void Pipeline::restore(OfflineDataset dataset,
+                       std::span<const double> state) {
   if (dataset.size() == 0) {
     throw std::invalid_argument("Pipeline::restore: empty dataset");
   }
+  model_->load_state(state);
   dataset_ = std::move(dataset);
-  model_->load(model_stream);
   fitted_ = true;
 }
 
@@ -145,15 +146,6 @@ RecipeModel& Pipeline::model() {
 const OfflineDataset& Pipeline::dataset() const {
   if (!fitted_) throw std::logic_error("Pipeline::dataset before fit");
   return dataset_;
-}
-
-void Pipeline::save_model(std::ostream& os) const { model().save(os); }
-
-void Pipeline::load_model(std::istream& is) {
-  model().load(is);
-  // A loaded model is usable for recommend() only alongside a fitted
-  // dataset (scores/stats); callers restoring a model without refitting
-  // can still use the raw model() accessor.
 }
 
 }  // namespace vpr::align

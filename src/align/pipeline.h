@@ -7,12 +7,13 @@
 //   auto recs = pipeline.recommend(new_design, 5);   // zero-shot, validated
 //   auto trace = pipeline.tune(new_design, online);  // closed-loop refine
 //
-// fit/recommend/tune are deterministic given the config seed, and the
-// aligned model can be saved/loaded for reuse across sessions.
+// fit/recommend/tune are deterministic given the config seed. The aligned
+// model's state() persists as a model::Snapshot file, and restore() picks
+// it up in a later session.
 
-#include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "align/beam.h"
@@ -53,9 +54,11 @@ class Pipeline {
   TrainMetrics fit(const std::vector<const flow::Design*>& designs);
   /// Same, over a pre-built dataset (e.g. loaded from cache).
   TrainMetrics fit(OfflineDataset dataset);
-  /// Restores a previously fitted pipeline from a saved model and its
-  /// dataset without retraining (the CLI's recommend/tune path).
-  void restore(OfflineDataset dataset, std::istream& model_stream);
+  /// Restores a previously fitted pipeline from its dataset and the
+  /// aligned model's state() without retraining (the CLI's recommend/tune
+  /// path). Throws std::invalid_argument when the state does not fit the
+  /// model architecture.
+  void restore(OfflineDataset dataset, std::span<const double> state);
 
   /// Zero-shot top-K recommendations for a design (seen or unseen):
   /// probing run -> insights -> beam search -> flow validation.
@@ -71,10 +74,6 @@ class Pipeline {
   [[nodiscard]] const RecipeModel& model() const;
   [[nodiscard]] RecipeModel& model();
   [[nodiscard]] const OfflineDataset& dataset() const;
-
-  /// Persist / restore the aligned model parameters (not the dataset).
-  void save_model(std::ostream& os) const;
-  void load_model(std::istream& is);
 
  private:
   /// Index of `design` in the fitted dataset, if present.

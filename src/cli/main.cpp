@@ -8,13 +8,15 @@
 //   insightalign run --design 10 --recipes 1,8,24 [--json out.json]
 //   insightalign probe --design 6
 //   insightalign align --designs 1-6 --points 48 --epochs 6
-//       --model model.bin --dataset archive.bin
-//   insightalign recommend --model model.bin --dataset archive.bin
+//       --model model.snap --dataset archive.bin
+//   insightalign recommend --model model.snap --dataset archive.bin
 //       --design 14 [--k 5]
-//   insightalign tune --model model.bin --dataset archive.bin
+//   insightalign tune --model model.snap --dataset archive.bin
 //       --design 14 --iterations 6
 //
-// Designs are suite indices 1..17 (optionally capped with --cells).
+// Designs are suite indices 1..17 (optionally capped with --cells). Model
+// files are model::Snapshot files (checksummed, bounded on read), the
+// format a registry directory holds too.
 
 #include <chrono>
 #include <csignal>
@@ -31,6 +33,7 @@
 #include "flow/report.h"
 #include "flow/runtime_model.h"
 #include "insight/insight.h"
+#include "model/snapshot.h"
 #include "netlist/suite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -57,18 +60,23 @@ using namespace vpr;
       "  probe --design K [--cells N]  probing run + insight vector\n"
       "  align --designs A-B [--points N] [--epochs N] [--cells N]\n"
       "        --model FILE --dataset FILE\n"
-      "  recommend --model FILE --dataset FILE --design K [--k K] [--cells N]\n"
-      "  tune --model FILE --dataset FILE --design K [--iterations N] [--cells N]\n"
+      "  recommend --model FILE --dataset FILE --design K [--k K]\n"
+      "            [--cells N]\n"
+      "  tune --model FILE --dataset FILE --design K [--iterations N]\n"
+      "       [--cells N] [--model-out FILE]\n"
       "       [--registry-dir DIR]           publish each round's refined\n"
       "                                      weights as a registry version\n"
       "  serve --listen PORT [--host ADDR] [--replicas N] [--max-inflight N]\n"
       "        [--queue-cap N] [--width K]   TCP recommend server (SIGTERM\n"
-      "                                      drains in-flight work, then exits)\n"
+      "                                      drains in-flight work, then\n"
+      "                                      exits)\n"
       "        [--registry-dir DIR]          serve from a model registry and\n"
-      "                                      hot-swap versions published there\n"
-      "        [--admin-port PORT]           HTTP admin plane on the same host:\n"
-      "                                      /metrics /healthz /statusz\n"
-      "                                      (0 = ephemeral; printed at startup)\n"
+      "                                      hot-swap versions published\n"
+      "                                      there\n"
+      "        [--admin-port PORT]           HTTP admin plane on the same\n"
+      "                                      host: /metrics /healthz\n"
+      "                                      /statusz (0 = ephemeral;\n"
+      "                                      printed at startup)\n"
       "  publish --registry-dir DIR --model FILE [--meta TEXT]\n"
       "                                      publish aligned weights as the\n"
       "                                      next registry version\n"
@@ -170,6 +178,24 @@ int cmd_probe(const util::Args& args) {
   return 0;
 }
 
+/// Writes `state` as a snapshot file (version 0: not a registry version).
+/// False when the target is unwritable or the disk is full.
+bool save_model_file(const std::string& path, std::vector<double> state,
+                     std::string meta) {
+  model::Snapshot snapshot;
+  snapshot.meta = std::move(meta);
+  snapshot.state = std::move(state);
+  return model::save_snapshot_file(snapshot, path);
+}
+
+/// The weights of a snapshot file; a missing, foreign or corrupt file is
+/// a usage error carrying the snapshot loader's diagnosis.
+std::vector<double> load_model_file(const std::string& path) {
+  model::LoadResult loaded = model::load_snapshot_file(path);
+  if (!loaded.ok()) throw cli::UsageError("cannot read model " + loaded.error);
+  return std::move(loaded.snapshot->state);
+}
+
 align::PipelineConfig pipeline_config(const util::Args& args) {
   align::PipelineConfig pc;
   pc.dataset.points_per_design = args.get_int("points", 48);
@@ -203,9 +229,11 @@ int cmd_align(const util::Args& args) {
   const auto metrics = pipeline.fit(designs);
   std::cout << "Final ranking accuracy: "
             << util::fmt(metrics.final_accuracy(), 3) << '\n';
-  {
-    std::ofstream os{*model_path, std::ios::binary};
-    pipeline.save_model(os);
+  if (!save_model_file(*model_path, pipeline.model().state(),
+                       "align --designs " + *spec)) {
+    std::cerr << "warning: failed to write model " << *model_path
+              << " (target unwritable or disk full)\n";
+    return 1;
   }
   if (!align::save_dataset(pipeline.dataset(), pc.dataset.weights,
                            *dataset_path)) {
@@ -225,13 +253,11 @@ align::Pipeline restored_pipeline(const util::Args& args) {
     usage("--model and --dataset required");
   }
   cli::require_readable(*dataset_path, "dataset");
-  cli::require_readable(*model_path, "model");
   auto dataset = align::load_dataset(*dataset_path);
   if (!dataset.has_value()) usage("cannot read dataset " + *dataset_path);
-  std::ifstream is{*model_path, std::ios::binary};
-  if (!is) usage("cannot read model " + *model_path);
+  const std::vector<double> state = load_model_file(*model_path);
   align::Pipeline pipeline{pipeline_config(args)};
-  pipeline.restore(std::move(*dataset), is);
+  pipeline.restore(std::move(*dataset), state);
   return pipeline;
 }
 
@@ -325,68 +351,55 @@ int cmd_serve(const util::Args& args) {
   config.router.replica.queue_capacity =
       static_cast<std::size_t>(queue_cap);
 
-  // The same seeded model every serve bench and test replays against, so
-  // remote clients can bitwise-verify responses out of the box.
-  util::Rng rng{7};
-  const align::RecipeModel model{align::ModelConfig{}, rng};
-
-  // --registry-dir serves from a versioned registry instead: highest
-  // persisted snapshot at startup (the seeded model is published as v1
-  // into an empty registry), then hot-swap on every version that lands in
-  // the directory — `insightalign publish` from another process.
-  std::shared_ptr<serve::ModelRegistry> registry;
-  if (const auto dir = args.get("registry-dir")) {
-    serve::RegistryConfig rc;
-    rc.dir = *dir;
-    registry =
-        std::make_shared<serve::ModelRegistry>(align::ModelConfig{}, rc);
-    if (registry->current_version() == 0) {
-      registry->publish(model.state(), "seed model (serve startup)");
-    }
+  // An empty registry starts on the same seeded model every serve bench
+  // and test replays against (published as v1), so remote clients can
+  // bitwise-verify responses out of the box. The registry lives in memory
+  // unless --registry-dir names a directory: then it resumes at the
+  // highest persisted snapshot and hot-swaps to every version that lands
+  // there — `insightalign publish` from another process.
+  serve::RegistryConfig rc;
+  rc.dir = args.get_or("registry-dir", "");
+  const auto registry =
+      std::make_shared<serve::ModelRegistry>(align::ModelConfig{}, rc);
+  if (registry->current_version() == 0) {
+    util::Rng rng{7};
+    const align::RecipeModel model{align::ModelConfig{}, rng};
+    registry->publish(model.state(), "seed model (serve startup)");
   }
-  std::unique_ptr<serve::Server> server =
-      registry != nullptr
-          ? std::make_unique<serve::Server>(registry, config)
-          : std::make_unique<serve::Server>(model, config);
+  serve::Server server{registry, config};
 
   std::signal(SIGINT, on_serve_signal);
   std::signal(SIGTERM, on_serve_signal);
   std::cout << "insightalign serve: listening on " << config.host << ':'
-            << server->port() << " (" << config.router.replicas
+            << server.port() << " (" << config.router.replicas
             << " replicas, max-inflight "
             << config.router.replica.max_inflight << "/replica, queue-cap "
-            << queue_cap << "/replica"
-            << (registry != nullptr
-                    ? ", registry v" +
-                          std::to_string(registry->current_version())
-                    : std::string{})
-            << (server->admin_port() >= 0
-                    ? ", admin " + std::to_string(server->admin_port())
+            << queue_cap << "/replica, registry v"
+            << registry->current_version()
+            << (server.admin_port() >= 0
+                    ? ", admin " + std::to_string(server.admin_port())
                     : std::string{})
             << ")" << std::endl;
 
   int ticks = 0;
   while (g_serve_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    // Poll the registry directory about once a second; replicas adopt new
-    // versions at their next batch boundary.
-    if (registry != nullptr && ++ticks % 20 == 0) registry->scan_dir();
+    // Poll the registry directory about once a second (a no-op in
+    // memory); replicas adopt new versions at their next batch boundary.
+    if (++ticks % 20 == 0) registry->scan_dir();
   }
   std::cerr << "insightalign serve: signal received, draining...\n";
-  server->stop();
+  server.stop();
 
-  const auto stats = server->stats();
+  const auto stats = server.stats();
   util::Json summary = util::Json::object();
   summary["connections"] = static_cast<double>(stats.connections);
   summary["requests"] = static_cast<double>(stats.requests);
   summary["protocol_errors"] = static_cast<double>(stats.protocol_errors);
   summary["bad_requests"] = static_cast<double>(stats.bad_requests);
-  summary["router"] = server->router().counters().to_json();
-  if (registry != nullptr) {
-    summary["model_version"] =
-        static_cast<double>(registry->current_version());
-    summary["registry"] = registry->to_json();
-  }
+  summary["router"] = server.router().counters().to_json();
+  summary["model_version"] = static_cast<double>(registry->current_version());
+  summary["registry"] = registry->to_json();
   std::cout << summary.dump() << std::endl;
   return 0;
 }
@@ -397,17 +410,13 @@ int cmd_publish(const util::Args& args) {
   if (!dir || !model_path) {
     throw cli::UsageError("publish: --registry-dir and --model required");
   }
-  cli::require_readable(*model_path, "model");
-  std::ifstream is{*model_path, std::ios::binary};
-  util::Rng rng{7};
-  align::RecipeModel model{align::ModelConfig{}, rng};
-  model.load(is);  // throws on count mismatch / truncation
+  const std::vector<double> state = load_model_file(*model_path);
 
   serve::RegistryConfig rc;
   rc.dir = *dir;
   serve::ModelRegistry registry{align::ModelConfig{}, rc};
   const std::uint64_t version =
-      registry.publish(model.state(), "published from " + *model_path +
+      registry.publish(state, "published from " + *model_path +
                                           (args.has("meta")
                                                ? ": " + args.get_or("meta", "")
                                                : std::string{}));
@@ -496,12 +505,16 @@ int cmd_tune(const util::Args& args) {
         << " versions (current v" << registry->current_version()
         << ") into " << args.get_or("registry-dir", "") << '\n';
   }
-  if (const auto model_path = args.get("model-out")) {
-    std::ofstream os{*model_path, std::ios::binary};
-    pipeline.save_model(os);
-    out << "Tuned model saved to " << *model_path << '\n';
-  }
   std::cout << out.str() << std::flush;
+  if (const auto model_path = args.get("model-out")) {
+    if (!save_model_file(*model_path, pipeline.model().state(),
+                         "tune --design " + std::to_string(design_index))) {
+      std::cerr << "warning: failed to write model " << *model_path
+                << " (target unwritable or disk full)\n";
+      return 1;
+    }
+    std::cout << "Tuned model saved to " << *model_path << std::endl;
+  }
   return 0;
 }
 

@@ -1,12 +1,14 @@
 #pragma once
-// Versioned, checksummed on-disk model snapshots — the persistence layer
-// under serve::ModelRegistry. A snapshot is the flattened nn::Module
-// state() vector (raw little-endian IEEE-754 doubles, the same layout
-// Module::save writes) wrapped in a header that makes corruption and
-// truncation detectable *before* the weights reach a live replica:
+// Versioned, checksummed on-disk model snapshots — the one file format of
+// the aligned model: the CLI's --model files, the bench hold-out cache and
+// serve::ModelRegistry directories. A snapshot is the flattened
+// nn::Module state() vector (raw little-endian IEEE-754 doubles) wrapped
+// in a header that makes corruption and truncation detectable *before*
+// the weights reach a live replica:
 //
 //   u64  magic      "IASNAP1\0"
-//   u64  version    registry version id (monotone per registry directory)
+//   u64  version    registry version id (monotone per registry directory;
+//                   0 in a file written outside a registry)
 //   u64  checksum   FNV-1a 64 over the raw parameter bytes
 //   u64  meta bytes + meta string (free-form provenance, e.g. "tune iter 3")
 //   u64  param count

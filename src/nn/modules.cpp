@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "nn/infer.h"
@@ -74,25 +71,6 @@ void Module::accumulate_gradients(std::span<const double> grads) {
   if (offset != grads.size()) {
     throw std::invalid_argument("accumulate_gradients: size mismatch");
   }
-}
-
-void Module::save(std::ostream& os) const {
-  const auto s = state();
-  const auto n = static_cast<std::uint64_t>(s.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(s.data()),
-           static_cast<std::streamsize>(s.size() * sizeof(double)));
-  if (!os) throw std::runtime_error("Module::save: stream write failed");
-}
-
-void Module::load(std::istream& is) {
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  std::vector<double> s(n);
-  is.read(reinterpret_cast<char*>(s.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (!is) throw std::runtime_error("Module::load: stream read failed");
-  load_state(s);
 }
 
 // ----- Linear -----

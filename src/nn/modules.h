@@ -4,7 +4,6 @@
 // for snapshot/restore (used by the PPO reference policy in online
 // fine-tuning).
 
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -38,9 +37,6 @@ class Module {
   /// Accumulate a gradients() snapshot into the parameter gradients
   /// (elementwise +=, ascending index — deterministic).
   void accumulate_gradients(std::span<const double> grads);
-  /// Binary save/load of state() to a stream.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 };
 
 /// Fully connected layer: y = x W + b, with W of shape (in, out).

@@ -227,7 +227,8 @@ void Placer::for_units(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::ThreadPool::shared();
+  util::ThreadPool& pool =
+      pool_ != nullptr ? *pool_ : util::ThreadPool::shared();
   pool.parallel_for(n, body,
                     workers_ > 0 ? static_cast<unsigned>(workers_) : 0);
 }
@@ -316,8 +317,9 @@ void Placer::force_step(Placement& p, Scratch& s, double temperature,
   // Reads: its own coordinates + the frozen centroid arrays. Writes: its
   // own coordinates. Fully parallel, per-cell RNG stream for the jitter.
   const double step = 0.35;
-  const std::uint64_t move_base = util::hash_combine(
-      util::hash_combine(seed_, kForceTag), static_cast<std::uint64_t>(iteration));
+  const std::uint64_t move_base =
+      util::hash_combine(util::hash_combine(seed_, kForceTag),
+                         static_cast<std::uint64_t>(iteration));
   for_units(kChunks, [&](std::size_t ch) {
     const auto [begin, end] =
         chunk_range(static_cast<std::size_t>(n), ch, kChunks);

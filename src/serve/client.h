@@ -75,8 +75,8 @@ struct ClientBenchResult {
   double mean_retry_after_ms = 0.0;
   bool bitwise_match = true;
   /// From the version probe each connection sends on connect: the model
-  /// version the server reported (0 = fixed-model server) and the hot
-  /// swaps its fleet had adopted at that point.
+  /// version the server reported and the hot swaps its fleet had adopted
+  /// at that point.
   std::uint64_t server_version = 0;
   std::uint64_t server_swaps = 0;
   /// Distinct model_version values observed across kOk responses,

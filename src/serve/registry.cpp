@@ -87,6 +87,13 @@ ModelRegistry::ModelRegistry(align::ModelConfig config, RegistryConfig rc)
   }
 }
 
+std::shared_ptr<ModelRegistry> ModelRegistry::holding(
+    const align::RecipeModel& model) {
+  auto registry = std::make_shared<ModelRegistry>(model.config());
+  registry->publish(model.state(), "in-memory model");
+  return registry;
+}
+
 std::uint64_t ModelRegistry::publish(std::span<const double> state,
                                      std::string meta) {
   VPR_TRACE_SPAN("registry.publish", "registry");

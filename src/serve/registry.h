@@ -122,6 +122,11 @@ class ModelRegistry {
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
+  /// An in-memory registry holding a copy of `model` as version 1: what
+  /// a service, router or server constructed on a plain model serves.
+  [[nodiscard]] static std::shared_ptr<ModelRegistry> holding(
+      const align::RecipeModel& model);
+
   /// Install `state` as the next version and make it current. Persists to
   /// the registry directory when one is configured (a disk failure logs a
   /// warning; the in-memory publish still succeeds). Returns the version

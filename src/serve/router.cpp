@@ -76,27 +76,20 @@ util::Json RouterCounters::to_json() const {
 }
 
 Router::Router(const align::RecipeModel& model, RouterConfig config)
-    : Router(config, &model, nullptr) {}
+    : Router(ModelRegistry::holding(model), config) {}
 
 Router::Router(std::shared_ptr<ModelRegistry> registry, RouterConfig config)
-    : Router(config, nullptr, std::move(registry)) {}
-
-Router::Router(RouterConfig config, const align::RecipeModel* fixed,
-               std::shared_ptr<ModelRegistry> registry)
     : registry_(std::move(registry)),
       config_(config),
       insight_dim_(static_cast<std::size_t>(
-          (fixed != nullptr ? fixed->config() : registry_->model_config())
-              .insight_dim)) {
+          registry_->model_config().insight_dim)) {
   if (config_.replicas < 1) {
     throw std::invalid_argument("Router: replicas < 1");
   }
   fleet_.reserve(static_cast<std::size_t>(config_.replicas));
   for (int i = 0; i < config_.replicas; ++i) {
     fleet_.push_back(
-        fixed != nullptr
-            ? std::make_unique<RecommendService>(*fixed, config_.replica)
-            : std::make_unique<RecommendService>(registry_, config_.replica));
+        std::make_unique<RecommendService>(registry_, config_.replica));
   }
 }
 
@@ -125,7 +118,9 @@ std::vector<int> Router::placement_order() const {
   std::vector<int> order(fleet_.size());
   std::iota(order.begin(), order.end(), 0);
   std::vector<std::size_t> depth(fleet_.size());
-  for (std::size_t i = 0; i < fleet_.size(); ++i) depth[i] = backlog(*fleet_[i]);
+  for (std::size_t i = 0; i < fleet_.size(); ++i) {
+    depth[i] = backlog(*fleet_[i]);
+  }
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return depth[static_cast<std::size_t>(a)] <
            depth[static_cast<std::size_t>(b)];

@@ -64,12 +64,13 @@ class Router {
   /// yet: pessimistic, so early Retry-After hints err toward backing off.
   static constexpr double kColdStartMsPerRequest = 10.0;
 
+  /// Serves a copy of `model` as version 1 of an in-memory registry.
   Router(const align::RecipeModel& model, RouterConfig config);
-  /// Registry-backed fleet: every replica starts on registry->current()
-  /// and hot-swaps independently at its own batch boundaries (replicas
-  /// may briefly serve different versions mid-rollout; each response
-  /// reports the version that decoded it). Throws std::invalid_argument
-  /// when the registry has no published version.
+  /// Every replica starts on registry->current() and hot-swaps
+  /// independently at its own batch boundaries (replicas may briefly
+  /// serve different versions mid-rollout; each response reports the
+  /// version that decoded it). Throws std::invalid_argument when the
+  /// registry has no published version.
   Router(std::shared_ptr<ModelRegistry> registry, RouterConfig config);
   ~Router();
   Router(const Router&) = delete;
@@ -117,26 +118,19 @@ class Router {
   /// has measured one). The Retry-After hint on shed responses and the
   /// wait that deadline-slack admission compares against.
   [[nodiscard]] double estimated_drain_ms() const;
-  /// The registry behind a registry-backed fleet (nullptr for the
-  /// fixed-model constructor).
-  [[nodiscard]] const std::shared_ptr<ModelRegistry>& registry()
-      const noexcept {
-    return registry_;
+  /// The registry the fleet serves.
+  [[nodiscard]] ModelRegistry& registry() const noexcept {
+    return *registry_;
   }
 
  private:
-  /// Both public constructors delegate here; exactly one of `fixed` /
-  /// `registry` is set.
-  Router(RouterConfig config, const align::RecipeModel* fixed,
-         std::shared_ptr<ModelRegistry> registry);
-
   /// A kRejected response, resolved already, with the retry hint.
   [[nodiscard]] std::future<Response> shed(double retry_after_ms,
                                            std::uint64_t trace_id);
   /// Replica indices sorted by ascending backlog.
   [[nodiscard]] std::vector<int> placement_order() const;
 
-  std::shared_ptr<ModelRegistry> registry_;  // null = fixed model
+  std::shared_ptr<ModelRegistry> registry_;
   RouterConfig config_;
   std::size_t insight_dim_ = 0;
   std::vector<std::unique_ptr<RecommendService>> fleet_;

@@ -24,6 +24,9 @@ namespace vpr::serve {
 
 namespace {
 
+/// Pending-connection queue length passed to listen().
+constexpr int kListenBacklog = 64;
+
 struct NetMetrics {
   obs::Counter& connections;
   obs::Counter& requests;
@@ -52,17 +55,11 @@ struct NetMetrics {
 }  // namespace
 
 Server::Server(const align::RecipeModel& model, ServerConfig config)
-    : config_(std::move(config)), router_(model, config_.router) {
-  start_listening();
-}
+    : Server(ModelRegistry::holding(model), std::move(config)) {}
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, ServerConfig config)
     : config_(std::move(config)),
       router_(std::move(registry), config_.router) {
-  start_listening();
-}
-
-void Server::start_listening() {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("Server: socket() failed");
@@ -79,7 +76,7 @@ void Server::start_listening() {
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     throw std::runtime_error("Server: cannot listen on " + config_.host +
@@ -161,9 +158,7 @@ std::string Server::statusz_json() const {
   doc["server"] = std::move(server);
   doc["router"] = router_.counters().to_json();
   doc["utilization"] = router_.utilization();
-  if (const auto& registry = router_.registry(); registry != nullptr) {
-    doc["registry"] = registry->to_json();
-  }
+  doc["registry"] = router_.registry().to_json();
   return doc.dump(-1);
 }
 
@@ -226,11 +221,36 @@ void Server::start_connection(int fd) {
 
 void Server::reader_loop(Connection& conn) {
   obs::TraceRecorder::instance().set_thread_name("conn-reader");
+  // A full pending queue means kMaxPipelined responses are unwritten;
+  // stall the reader (socket backpressure) rather than queue unboundedly.
+  const auto push = [&conn](Pending&& pending) {
+    while (conn.pending->push(std::move(pending)) ==
+           util::PushResult::kFull) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // Invalid contents in an intact frame are traffic, not a server bug:
+  // answer kBadRequest in pipeline order and keep the connection.
+  const auto answer_bad_request = [this, &push](std::uint64_t client_tag) {
+    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    NetMetrics::get().bad_requests.inc();
+    std::promise<Response> failed;
+    Response response;
+    response.status = Status::kBadRequest;
+    failed.set_value(std::move(response));
+    Pending rejected;
+    rejected.client_tag = client_tag;
+    rejected.future = failed.get_future();
+    push(std::move(rejected));
+  };
+  const auto count_protocol_error = [this] {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    NetMetrics::get().protocol_errors.inc();
+  };
   std::vector<std::uint8_t> payload;
   while (wire::read_frame(conn.fd, payload)) {
     if (payload.empty()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().protocol_errors.inc();
+      count_protocol_error();
       break;  // a zero-length frame carries no type byte: corruption
     }
     const std::uint8_t type = payload.front();
@@ -256,44 +276,26 @@ void Server::reader_loop(Connection& conn) {
       }
       if (!decoded) {
         // A known type byte with a malformed body is corruption.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        NetMetrics::get().protocol_errors.inc();
+        count_protocol_error();
         break;
       }
-      while (conn.pending->push(std::move(probe)) ==
-             util::PushResult::kFull) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      push(std::move(probe));
       continue;
     }
     if (type != wire::kRequestFrame) {
       // Unknown-but-well-framed type: the peer speaks a newer protocol,
-      // the stream itself is intact. Answer kBadRequest in-band and keep
-      // the connection alive. Best effort on the tag: echo the u64 after
-      // the type byte when the payload has one (where this protocol's
-      // frames keep their correlation tag); tag 0 still lets a
+      // the stream itself is intact. Best effort on the tag: echo the u64
+      // after the type byte when the payload has one (where this
+      // protocol's frames keep their correlation tag); tag 0 still lets a
       // pipelining client count responses.
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().bad_requests.inc();
-      Pending rejected;
-      if (payload.size() >= 9) {
-        std::memcpy(&rejected.client_tag, payload.data() + 1, 8);
-      }
-      std::promise<Response> failed;
-      Response response;
-      response.status = Status::kBadRequest;
-      failed.set_value(std::move(response));
-      rejected.future = failed.get_future();
-      while (conn.pending->push(std::move(rejected)) ==
-             util::PushResult::kFull) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      std::uint64_t client_tag = 0;
+      if (payload.size() >= 9) std::memcpy(&client_tag, payload.data() + 1, 8);
+      answer_bad_request(client_tag);
       continue;
     }
     auto request = wire::decode_request(payload);
     if (!request.has_value()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().protocol_errors.inc();
+      count_protocol_error();
       break;  // framing is broken; nothing on this stream is trustworthy
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
@@ -307,22 +309,10 @@ void Server::reader_loop(Connection& conn) {
           std::chrono::milliseconds(request->deadline_ms),
           request->trace_id);
     } catch (const std::invalid_argument&) {
-      // Malformed contents from a remote peer are traffic, not a server
-      // bug: answer kBadRequest and keep the connection.
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().bad_requests.inc();
-      std::promise<Response> failed;
-      Response response;
-      response.status = Status::kBadRequest;
-      failed.set_value(std::move(response));
-      pending.future = failed.get_future();
+      answer_bad_request(request->client_tag);
+      continue;
     }
-    // A full pending queue means kMaxPipelined responses are unwritten;
-    // stall the reader (socket backpressure) rather than queue unboundedly.
-    while (conn.pending->push(std::move(pending)) ==
-           util::PushResult::kFull) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    push(std::move(pending));
   }
   // EOF or broken framing: no more submissions. close() lets the writer
   // drain everything already admitted, then exit.
@@ -333,29 +323,29 @@ void Server::reader_loop(Connection& conn) {
 void Server::writer_loop(Connection& conn) {
   obs::TraceRecorder::instance().set_thread_name("conn-writer");
   std::vector<std::uint8_t> encoded;
-  Pending pending;
   bool write_ok = true;
+  const auto send = [&](const auto& frame) {
+    encoded.clear();
+    wire::encode(frame, encoded);
+    if (!wire::write_frame(conn.fd, encoded)) {
+      write_ok = false;
+      // Wake the reader out of read_frame so the connection tears down.
+      ::shutdown(conn.fd, SHUT_RDWR);
+    }
+  };
+  Pending pending;
   while (conn.pending->pop(pending)) {
     if (pending.kind == Pending::Kind::kVersionQuery) {
       if (!write_ok) continue;
+      const ModelRegistry& registry = router_.registry();
       wire::VersionInfoFrame info;
       info.client_tag = pending.client_tag;
-      const auto& registry = router_.registry();
-      if (registry != nullptr) {
-        info.model_version = registry->current_version();
-        if (auto current = registry->current()) {
-          info.checksum = current->checksum();
-        }
-        for (int i = 0; i < router_.replicas(); ++i) {
-          info.swaps += router_.replica(i).swaps();
-        }
+      info.model_version = registry.current_version();
+      info.checksum = registry.current()->checksum();
+      for (int i = 0; i < router_.replicas(); ++i) {
+        info.swaps += router_.replica(i).swaps();
       }
-      encoded.clear();
-      wire::encode(info, encoded);
-      if (!wire::write_frame(conn.fd, encoded)) {
-        write_ok = false;
-        ::shutdown(conn.fd, SHUT_RDWR);
-      }
+      send(info);
       continue;
     }
     if (pending.kind == Pending::Kind::kStatsQuery) {
@@ -363,12 +353,7 @@ void Server::writer_loop(Connection& conn) {
       wire::StatsFrame stats_frame;
       stats_frame.client_tag = pending.client_tag;
       stats_frame.json = statusz_json();
-      encoded.clear();
-      wire::encode(stats_frame, encoded);
-      if (!wire::write_frame(conn.fd, encoded)) {
-        write_ok = false;
-        ::shutdown(conn.fd, SHUT_RDWR);
-      }
+      send(stats_frame);
       continue;
     }
     Response response = pending.future.get();
@@ -382,13 +367,7 @@ void Server::writer_loop(Connection& conn) {
     frame.total_ms = response.total_ms;
     frame.retry_after_ms = response.retry_after_ms;
     frame.candidates = std::move(response.candidates);
-    encoded.clear();
-    wire::encode(frame, encoded);
-    if (!wire::write_frame(conn.fd, encoded)) {
-      write_ok = false;
-      // Wake the reader out of read_frame so the connection tears down.
-      ::shutdown(conn.fd, SHUT_RDWR);
-    }
+    send(frame);
   }
   ::shutdown(conn.fd, SHUT_RDWR);
   conn.exited.fetch_add(1, std::memory_order_acq_rel);

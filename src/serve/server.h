@@ -52,7 +52,6 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port (tests); port() reports the actual one.
   int port = 0;
-  int backlog = 64;
   /// HTTP admin listener port on `host`: -1 disables it, 0 binds an
   /// ephemeral port (admin_port() reports the actual one).
   int admin_port = -1;
@@ -76,12 +75,13 @@ class Server {
   /// reading (socket-buffer backpressure).
   static constexpr std::size_t kMaxPipelined = 1024;
 
-  /// Binds and starts accepting immediately; throws std::runtime_error
-  /// when the socket cannot be bound.
+  /// Serves a copy of `model` as version 1 of an in-memory registry.
   Server(const align::RecipeModel& model, ServerConfig config);
-  /// Registry-backed server: the fleet hot-swaps to published versions
-  /// and connections can probe the serving version with a
-  /// wire::VersionQueryFrame (answered immediately, in pipeline order).
+  /// Binds and starts accepting immediately; throws std::runtime_error
+  /// when the socket cannot be bound. The fleet hot-swaps to versions
+  /// published into `registry`, and connections can probe the serving
+  /// version with a wire::VersionQueryFrame (answered immediately, in
+  /// pipeline order).
   Server(std::shared_ptr<ModelRegistry> registry, ServerConfig config);
   ~Server();
   Server(const Server&) = delete;
@@ -100,8 +100,8 @@ class Server {
   /// "overloaded" | "draining", utilization, replicas, ...}.
   [[nodiscard]] std::string healthz_json() const;
   /// The /statusz document (also the wire::StatsFrame payload): server
-  /// totals, router counters with per-replica occupancy, and — on
-  /// registry-backed fleets — registry versions + the A/B table.
+  /// totals, router counters with per-replica occupancy, and registry
+  /// versions + the A/B table.
   [[nodiscard]] std::string statusz_json() const;
 
   /// Graceful drain; idempotent, thread-safe (the CLI calls it from the
@@ -135,8 +135,6 @@ class Server {
   void writer_loop(Connection& conn);
   /// Join and erase connections whose threads have both exited.
   void reap_finished();
-  /// Bind + listen + start the acceptor (shared ctor tail).
-  void start_listening();
 
   ServerConfig config_;
   Router router_;

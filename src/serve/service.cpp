@@ -56,15 +56,16 @@ struct ServeMetrics {
   }
 };
 
-/// Registry-backed construction requires a published version: a service
-/// cannot admit traffic before any weights exist.
-const align::RecipeModel* checked_model(
-    const std::shared_ptr<const ModelVersion>& active) {
-  if (active == nullptr) {
+/// The version a new service starts on: a service cannot admit traffic
+/// before any weights exist.
+std::shared_ptr<const ModelVersion> first_version(
+    const ModelRegistry& registry) {
+  auto current = registry.current();
+  if (current == nullptr) {
     throw std::invalid_argument(
         "RecommendService: registry has no published version");
   }
-  return &active->model();
+  return current;
 }
 
 }  // namespace
@@ -113,21 +114,15 @@ util::Json ServiceCounters::to_json() const {
 
 RecommendService::RecommendService(const align::RecipeModel& model,
                                    ServiceConfig config)
-    : RecommendService(config, &model, nullptr) {}
+    : RecommendService(ModelRegistry::holding(model), config) {}
 
 RecommendService::RecommendService(std::shared_ptr<ModelRegistry> registry,
                                    ServiceConfig config)
-    : RecommendService(config, nullptr, std::move(registry)) {}
-
-RecommendService::RecommendService(ServiceConfig config,
-                                   const align::RecipeModel* fixed,
-                                   std::shared_ptr<ModelRegistry> registry)
     : registry_(std::move(registry)),
-      active_(registry_ != nullptr ? registry_->current() : nullptr),
-      model_(fixed != nullptr ? fixed : checked_model(active_)),
+      active_(first_version(*registry_)),
       config_(config),
-      insight_dim_(model_->config().insight_dim),
-      arena_(*model_, 2 * std::max(1, config.max_beam_width)),
+      insight_dim_(active_->model().config().insight_dim),
+      arena_(active_->model(), 2 * std::max(1, config.max_beam_width)),
       queue_(config.queue_capacity) {
   if (config_.max_inflight < 1) {
     throw std::invalid_argument("RecommendService: max_inflight < 1");
@@ -138,9 +133,7 @@ RecommendService::RecommendService(ServiceConfig config,
   if (config_.queue_capacity < 1) {
     throw std::invalid_argument("RecommendService: queue_capacity < 1");
   }
-  if (active_ != nullptr) {
-    active_version_.store(active_->version(), std::memory_order_relaxed);
-  }
+  active_version_.store(active_->version(), std::memory_order_relaxed);
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 
@@ -355,14 +348,12 @@ void RecommendService::admit(Request&& request,
 void RecommendService::finish(Inflight& flight, Status status) {
   std::vector<align::BeamCandidate> candidates;
   if (status == Status::kOk) candidates = flight.decoder->result();
-  const std::uint64_t served_version =
-      flight.pin != nullptr ? flight.pin->version() : 0;
+  const std::uint64_t served_version = flight.pin->version();
   // Latency is measured before the registry sees the outcome, so the SLO
   // engine judges the same number the client will be told.
   const auto done = Clock::now();
   const double latency = ms_between(flight.request.submitted_at, done);
-  if (status == Status::kOk && registry_ != nullptr && flight.pin != nullptr &&
-      !candidates.empty()) {
+  if (status == Status::kOk && !candidates.empty()) {
     registry_->record_outcome(served_version, candidates.front().log_prob,
                               latency);
   }
@@ -393,19 +384,17 @@ void RecommendService::finish(Inflight& flight, Status status) {
 }
 
 void RecommendService::maybe_swap() {
-  if (registry_ == nullptr) return;
   if (registry_->current_version() ==
       active_version_.load(std::memory_order_relaxed)) {
     return;
   }
   std::shared_ptr<const ModelVersion> next = registry_->current();
-  if (next == nullptr || (active_ != nullptr && next == active_)) return;
+  if (next == active_) return;
   VPR_TRACE_SPAN("registry.swap", "serve",
                  obs::TraceArgs{{"version", next->version()}});
   const double adoption_ms = ms_between(next->published_at(), Clock::now());
   active_ = std::move(next);
-  model_ = &active_->model();
-  arena_.set_model(*model_);
+  arena_.set_model(active_->model());
   active_version_.store(active_->version(), std::memory_order_relaxed);
   n_swaps_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics& metrics = ServeMetrics::get();

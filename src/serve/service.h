@@ -22,13 +22,14 @@
 // admission queue rejects immediately with kRejected (backpressure is
 // surfaced to the caller, never buffered unboundedly).
 //
-// Hot swap: a service constructed over a serve::ModelRegistry polls the
-// registry's current version at every batch boundary and swaps RCU-style
-// — the batcher adopts the new shared_ptr, the arena re-targets future
-// admissions, and every in-flight request keeps a pin on the version it
-// was admitted under, so it finishes bitwise on the weights it started
-// with even if several publishes land mid-decode. Retired versions are
-// destroyed once the registry GC window passes them *and* their last
+// Hot swap: every service serves a serve::ModelRegistry (one constructed
+// on a plain model holds it as version 1 of an in-memory registry) and
+// polls the registry's current version at every batch boundary, swapping
+// RCU-style — the batcher adopts the new shared_ptr, the arena re-targets
+// future admissions, and every in-flight request keeps a pin on the
+// version it was admitted under, so it finishes bitwise on the weights it
+// started with even if several publishes land mid-decode. Retired versions
+// are destroyed once the registry GC window passes them *and* their last
 // pinned request drains. See docs/model_registry.md.
 
 #include <atomic>
@@ -89,8 +90,8 @@ struct Response {
   /// 0 when not rejected (or when no estimate is available).
   double retry_after_ms = 0.0;
   /// Registry version this request decoded on (the version pinned at
-  /// admission, not whatever was current at completion). 0 for services
-  /// on a fixed model or for requests refused before admission.
+  /// admission, not whatever was current at completion). 0 for requests
+  /// refused before admission.
   std::uint64_t model_version = 0;
 };
 
@@ -125,9 +126,8 @@ struct ServiceCounters {
   double qps = 0.0;
   long sessions_created = 0;
   long session_reuses = 0;
-  /// Hot-swap telemetry (0 on fixed-model services): version currently
-  /// serving new admissions, swaps adopted, and publish->adoption
-  /// latency over those swaps.
+  /// Hot-swap telemetry: version currently serving new admissions, swaps
+  /// adopted, and publish->adoption latency over those swaps.
   std::uint64_t model_version = 0;
   std::uint64_t swaps = 0;
   double mean_swap_ms = 0.0;
@@ -142,12 +142,13 @@ class RecommendService {
   /// Deadline value meaning "no deadline".
   static constexpr std::chrono::milliseconds kNoDeadline{0};
 
+  /// Serves a copy of `model` as version 1 of an in-memory registry.
   explicit RecommendService(const align::RecipeModel& model,
                             ServiceConfig config = {});
-  /// Registry-backed service: starts on registry->current() and hot-swaps
-  /// to each newly published version at a batch boundary (in-flight
-  /// requests finish on their pinned version). Throws
-  /// std::invalid_argument when the registry has no published version.
+  /// Starts on registry->current() and hot-swaps to each newly published
+  /// version at a batch boundary (in-flight requests finish on their
+  /// pinned version). Throws std::invalid_argument when the registry has
+  /// no published version.
   explicit RecommendService(std::shared_ptr<ModelRegistry> registry,
                             ServiceConfig config = {});
   ~RecommendService();
@@ -213,7 +214,7 @@ class RecommendService {
            1e-6;
   }
 
-  /// Version serving new admissions (0 on a fixed-model service).
+  /// Version serving new admissions.
   [[nodiscard]] std::uint64_t model_version() const noexcept {
     return active_version_.load(std::memory_order_relaxed);
   }
@@ -241,14 +242,9 @@ class RecommendService {
     std::shared_ptr<const ModelVersion> pin;
   };
 
-  /// Both public constructors delegate here; exactly one of `fixed` /
-  /// `registry` is set.
-  RecommendService(ServiceConfig config, const align::RecipeModel* fixed,
-                   std::shared_ptr<ModelRegistry> registry);
-
   void batcher_loop();
   /// Adopt the registry's current version if it moved (batcher thread,
-  /// batch boundaries only). No-op on fixed-model services.
+  /// batch boundaries only).
   void maybe_swap();
   void admit(Request&& request, std::vector<Inflight>& inflight);
   void forward_batch(std::span<const align::BatchStep> steps, double* probs);
@@ -260,12 +256,11 @@ class RecommendService {
                       Clock::time_point admitted_at,
                       std::uint64_t model_version = 0);
 
-  std::shared_ptr<ModelRegistry> registry_;  // null = fixed model
+  std::shared_ptr<ModelRegistry> registry_;
   /// Version serving new admissions. Owned by the batcher thread after
   /// construction; declared before arena_ so the arena can bind to its
   /// model in the initializer list.
   std::shared_ptr<const ModelVersion> active_;
-  const align::RecipeModel* model_;
   ServiceConfig config_;
   /// Insight dimension, immutable copy for submit-side validation (the
   /// live model pointer belongs to the batcher once swaps can happen).

@@ -21,16 +21,16 @@
 //                   u32 insight_dim, f64[insight_dim] insight
 // Response payload: u8 status, u64 client_tag (echoed), u64 trace_id,
 //                   u64 model_version (registry version that decoded the
-//                   request; 0 on fixed-model servers), f64 queue_ms,
+//                   request; 0 if refused before admission), f64 queue_ms,
 //                   f64 total_ms, f64 retry_after_ms, u32 candidate
 //                   count, then per candidate u64 recipe-set bits +
 //                   f64 log_prob
 // Version query:    u64 client_tag — answered out of band by the server
 //                   (no decode work), so clients can watch hot swaps.
 // Version info:     u64 client_tag (echoed), u64 model_version,
-//                   u64 checksum (registry checksum of that version, 0
-//                   on fixed-model servers), u64 swaps (hot swaps the
-//                   answering replica has adopted)
+//                   u64 checksum (registry checksum of that version),
+//                   u64 swaps (hot swaps the answering replica has
+//                   adopted)
 // Stats query:      u64 client_tag — the in-band admin plane: answered
 //                   off the decode queue like version queries.
 // Stats:            u64 client_tag (echoed), u32 byte length, then that
@@ -98,7 +98,8 @@ struct ResponseFrame {
   Status status = Status::kShutdown;
   std::uint64_t client_tag = 0;
   std::uint64_t trace_id = 0;
-  /// Registry version that served the request; 0 on fixed-model servers.
+  /// Registry version that served the request; 0 if refused before
+  /// admission.
   std::uint64_t model_version = 0;
   double queue_ms = 0.0;
   double total_ms = 0.0;
@@ -115,8 +116,8 @@ struct VersionQueryFrame {
 struct VersionInfoFrame {
   std::uint64_t client_tag = 0;
   std::uint64_t model_version = 0;
-  /// Registry checksum of that version (0 on fixed-model servers), so a
-  /// client can assert two replicas really hold identical weights.
+  /// Registry checksum of that version, so a client can assert two
+  /// replicas really hold identical weights.
   std::uint64_t checksum = 0;
   /// Hot swaps the answering replica has adopted so far.
   std::uint64_t swaps = 0;

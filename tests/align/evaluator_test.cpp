@@ -7,7 +7,7 @@
 #include <numeric>
 #include <set>
 
-#include "align/cache.h"
+#include "util/serialize.h"
 
 namespace vpr::align {
 namespace {
@@ -88,9 +88,9 @@ TEST(ZeroShotEvaluatorConfig, RejectsMismatchedDatasets) {
 
 TEST(CacheDir, HonorsEnvironmentOverride) {
   ::setenv("INSIGHTALIGN_CACHE_DIR", "/tmp/ia_custom_cache", 1);
-  EXPECT_EQ(cache_dir(), "/tmp/ia_custom_cache");
+  EXPECT_EQ(util::cache_dir(), "/tmp/ia_custom_cache");
   ::unsetenv("INSIGHTALIGN_CACHE_DIR");
-  EXPECT_EQ(cache_dir(), "insightalign_cache");
+  EXPECT_EQ(util::cache_dir(), "insightalign_cache");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "align/beam.h"
@@ -122,13 +122,26 @@ TEST(Pipeline, TuneOnUnseenDesignBootstraps) {
   EXPECT_TRUE(std::isfinite(result.last().best_score_so_far));
 }
 
-TEST(Pipeline, ModelSaveLoadRoundTrip) {
+TEST(Pipeline, RestoreFromStateMatchesFittedPipeline) {
   auto& p = fitted_pipeline();
-  std::stringstream ss;
-  p.save_model(ss);
   Pipeline q{fast_config()};
-  q.load_model(ss);
+  q.restore(p.dataset(), p.model().state());
+  ASSERT_TRUE(q.fitted());
   EXPECT_EQ(p.model().state(), q.model().state());
+  // The restored pipeline recommends exactly what the fitted one does.
+  const auto expected = p.recommend(world().d1, 3);
+  const auto restored = q.recommend(world().d1, 3);
+  ASSERT_EQ(restored.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(restored[i].recipes.to_u64(), expected[i].recipes.to_u64());
+    EXPECT_EQ(restored[i].log_prob, expected[i].log_prob);
+    EXPECT_EQ(restored[i].score, expected[i].score);
+  }
+  // A state that does not fit the architecture is refused.
+  Pipeline r{fast_config()};
+  EXPECT_THROW(r.restore(p.dataset(), std::vector<double>(3, 0.0)),
+               std::invalid_argument);
+  EXPECT_FALSE(r.fitted());
 }
 
 TEST(Pipeline, DeterministicFit) {

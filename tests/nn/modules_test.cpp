@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -186,16 +185,6 @@ TEST(Module, StateRoundTrip) {
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 4; ++j) EXPECT_DOUBLE_EQ(y1.at(i, j), y2.at(i, j));
   }
-}
-
-TEST(Module, SaveLoadStream) {
-  util::Rng rng{12};
-  Linear a{3, 2, rng};
-  Linear b{3, 2, rng};
-  std::stringstream ss;
-  a.save(ss);
-  b.load(ss);
-  EXPECT_EQ(a.state(), b.state());
 }
 
 TEST(Module, LoadStateRejectsWrongSize) {

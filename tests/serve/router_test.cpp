@@ -17,7 +17,9 @@
 
 #include "align/beam.h"
 #include "serve/client.h"
+#include "serve/registry.h"
 #include "serve/router.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace vpr::serve {
@@ -32,7 +34,9 @@ align::RecipeModel test_model() {
 
 TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
   // The sharding must not cost correctness: every response from a
-  // 2-replica fleet is bitwise equal to a fresh lone beam_search.
+  // 2-replica fleet is bitwise equal to a fresh lone beam_search. A plain
+  // model is served as v1 of an in-memory registry, so every response
+  // reports version 1 and feeds v1's A/B row.
   const auto model = test_model();
   const auto insights = bench_suite_insights(model.config().insight_dim);
   constexpr int kWidth = 4;
@@ -47,6 +51,7 @@ TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const Response response = futures[i].get();
     ASSERT_EQ(response.status, Status::kOk) << "design " << i + 1;
+    EXPECT_EQ(response.model_version, 1U);
     const auto expected = align::beam_search(model, insights[i], kWidth);
     ASSERT_EQ(response.candidates.size(), expected.size());
     for (std::size_t r = 0; r < expected.size(); ++r) {
@@ -54,6 +59,12 @@ TEST(Router, RoutedResponsesMatchPerRequestBeamSearch) {
       EXPECT_EQ(response.candidates[r].log_prob, expected[r].log_prob);
     }
   }
+  const util::Json registry = router.registry().to_json();
+  const auto& ab = registry.as_object().at("ab").as_array();
+  ASSERT_EQ(ab.size(), 1U);
+  EXPECT_EQ(ab[0].as_object().at("version").as_number(), 1.0);
+  EXPECT_EQ(ab[0].as_object().at("requests").as_number(),
+            static_cast<double>(insights.size()));
 
   const RouterCounters counters = router.counters();
   EXPECT_EQ(counters.routed, insights.size());

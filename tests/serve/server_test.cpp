@@ -346,6 +346,8 @@ TEST(Server, InterleavedAdminProbesKeepPipelineOrder) {
       const auto info = wire::decode_version_info(payload);
       ASSERT_TRUE(info.has_value());
       EXPECT_EQ(info->client_tag, 2U);
+      // A server on a plain model serves it as registry version 1.
+      EXPECT_EQ(info->model_version, 1U);
     } else {
       const auto response = wire::decode_response(payload);
       ASSERT_TRUE(response.has_value());

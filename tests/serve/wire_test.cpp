@@ -108,7 +108,7 @@ TEST(Wire, ResponseCarriesTheServingModelVersion) {
   ASSERT_EQ(decoded->candidates.size(), 1U);
   EXPECT_EQ(decoded->candidates[0].recipes.to_u64(), 0x2AULL);
 
-  // Default (fixed-model server): version 0 round-trips too.
+  // A default-constructed frame: version 0 round-trips too.
   ResponseFrame fixed;
   fixed.status = Status::kOk;
   std::vector<std::uint8_t> encoded_fixed;
