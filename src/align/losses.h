@@ -2,7 +2,7 @@
 // Preference-alignment losses over recipe-set sequence likelihoods:
 //   - margin-based DPO (paper eq. 2) — the main training objective
 //   - plain DPO with a uniform reference policy (paper eq. 1) — ablation
-//   - supervised BCE on good recipe sets — ablation baseline
+//   - supervised NLL of each pair's winner sequence — ablation baseline
 //   - clipped PPO surrogate — online fine-tuning component
 // All losses return differentiable 1x1 tensors.
 
@@ -53,8 +53,8 @@ struct PairLossTerms {
     std::span<const int> bits_winner, std::span<const int> bits_loser,
     double beta);
 
-/// Supervised ablation: maximize likelihood of a known-good recipe set
-/// (negative log-likelihood of the sequence).
+/// Supervised NLL ablation: the negative log-likelihood of one recipe
+/// sequence (the trainer passes each pair's winner).
 [[nodiscard]] nn::Tensor nll_loss(const RecipeModel& model,
                                   std::span<const double> insight,
                                   std::span<const int> bits);

@@ -22,6 +22,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -335,19 +336,20 @@ int cmd_serve(const util::Args& args) {
   if (config.admin_port < -1 || config.admin_port > 65535) {
     throw cli::UsageError("serve: --admin-port out of range 0..65535");
   }
-  config.router.replicas = args.get_int("replicas", config.router.replicas);
-  config.router.replica.max_inflight =
-      args.get_int("max-inflight", config.router.replica.max_inflight);
-  const int queue_cap = args.get_int(
-      "queue-cap", static_cast<int>(config.router.replica.queue_capacity));
-  config.router.replica.max_beam_width =
-      args.get_int("width", config.router.replica.max_beam_width);
-  if (config.router.replicas < 1 ||
-      config.router.replica.max_inflight < 1 || queue_cap < 1 ||
-      config.router.replica.max_beam_width < 1) {
-    throw cli::UsageError(
-        "serve: --replicas/--max-inflight/--queue-cap/--width must be >= 1");
-  }
+  // Every bound is checked here, before the server starts any thread.
+  config.router.replicas = cli::parse_bounded_int(
+      args, "replicas", config.router.replicas, cli::kMaxServeReplicas,
+      "serve");
+  config.router.replica.max_inflight = cli::parse_bounded_int(
+      args, "max-inflight", config.router.replica.max_inflight,
+      cli::kMaxServeInflight, "serve");
+  const int queue_cap = cli::parse_bounded_int(
+      args, "queue-cap",
+      static_cast<int>(config.router.replica.queue_capacity),
+      std::numeric_limits<int>::max(), "serve");
+  config.router.replica.max_beam_width = cli::parse_bounded_int(
+      args, "width", config.router.replica.max_beam_width,
+      cli::kMaxServeWidth, "serve");
   config.router.replica.queue_capacity =
       static_cast<std::size_t>(queue_cap);
 

@@ -104,6 +104,23 @@ int parse_design_index(const util::Args& args, const std::string& command,
   return index;
 }
 
+int parse_bounded_int(const util::Args& args, const std::string& flag,
+                      int fallback, int max, const std::string& command) {
+  const std::string range = "1.." + std::to_string(max);
+  int value = 0;
+  try {
+    value = args.get_int(flag, fallback);
+  } catch (const std::invalid_argument&) {
+    throw UsageError(command + ": --" + flag + " must be an integer in " +
+                     range);
+  }
+  if (value < 1 || value > max) {
+    throw UsageError(command + ": --" + flag + " " + std::to_string(value) +
+                     " out of range " + range);
+  }
+  return value;
+}
+
 void require_readable(const std::string& path, const std::string& what) {
   std::ifstream is{path, std::ios::binary};
   if (!is) throw UsageError("cannot read " + what + " " + path);

@@ -70,6 +70,20 @@ struct HostPort {
                                      const std::string& command,
                                      int max_design);
 
+/// Upper bounds of `insightalign serve`'s resource flags. Each replica
+/// starts a batcher thread, and each admitted request holds a decode
+/// session of 2 x width lanes, so these cap what one command line can pin.
+inline constexpr int kMaxServeReplicas = 64;
+inline constexpr int kMaxServeInflight = 1024;
+inline constexpr int kMaxServeWidth = 64;
+
+/// --flag as an integer in [1, max], or `fallback` when absent. Throws
+/// UsageError on a value that is missing, unparseable or out of range.
+/// `command` prefixes the message.
+[[nodiscard]] int parse_bounded_int(const util::Args& args,
+                                    const std::string& flag, int fallback,
+                                    int max, const std::string& command);
+
 /// Throws UsageError ("cannot read <what> <path>") unless `path` opens for
 /// reading. Used for --model / --dataset before any expensive work.
 void require_readable(const std::string& path, const std::string& what);

@@ -7,7 +7,25 @@
 
 namespace vpr::nn {
 
-double Optimizer::clip_grad_norm(double max_norm) {
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
+
+Adam::Adam(std::vector<Tensor> params, double lr)
+    : params_(std::move(params)), lr_(lr) {
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
+  for (const auto& p : params_) {
+    m_.emplace_back(p.size(), 0.0);
+    v_.emplace_back(p.size(), 0.0);
+  }
+}
+
+double Adam::clip_grad_norm(double max_norm) {
   if (max_norm <= 0.0) throw std::invalid_argument("clip_grad_norm: max <= 0");
   double sq = 0.0;
   for (auto& p : params_) {
@@ -23,45 +41,11 @@ double Optimizer::clip_grad_norm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) velocity_.emplace_back(p.size(), 0.0);
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto data = params_[i].data();
-    auto grad = params_[i].grad();
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      vel[j] = momentum_ * vel[j] + grad[j];
-      data[j] -= lr_ * vel[j];
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
-           double eps, double weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const auto& p : params_) {
-    m_.emplace_back(p.size(), 0.0);
-    v_.emplace_back(p.size(), 0.0);
-  }
-}
-
 void Adam::step() {
   VPR_TRACE_SPAN("nn.adam.step", "train");
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     auto data = params_[i].data();
     auto grad = params_[i].grad();
@@ -69,12 +53,11 @@ void Adam::step() {
     auto& v = v_[i];
     for (std::size_t j = 0; j < data.size(); ++j) {
       const double g = grad[j];
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
+      m[j] = kBeta1 * m[j] + (1.0 - kBeta1) * g;
+      v[j] = kBeta2 * v[j] + (1.0 - kBeta2) * g * g;
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
-      data[j] -= lr_ * (mhat / (std::sqrt(vhat) + eps_) +
-                        weight_decay_ * data[j]);
+      data[j] -= lr_ * (mhat / (std::sqrt(vhat) + kEps));
     }
   }
 }

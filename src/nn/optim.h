@@ -1,7 +1,7 @@
 #pragma once
-// First-order optimizers over Tensor parameter handles. Parameters are
-// registered once; step() consumes the gradients accumulated since the last
-// zero_grad().
+// Adam (Kingma & Ba; beta1 0.9, beta2 0.999, eps 1e-8) over Tensor
+// parameter handles. Parameters are registered once; step() consumes the
+// gradients accumulated since the last zero_grad().
 
 #include <vector>
 
@@ -9,12 +9,11 @@
 
 namespace vpr::nn {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, double lr);
 
-  virtual void step() = 0;
+  void step();
   void zero_grad() {
     for (auto& p : params_) p.zero_grad();
   }
@@ -22,31 +21,9 @@ class Optimizer {
   /// Returns the pre-clip norm.
   double clip_grad_norm(double max_norm);
 
- protected:
+ private:
   std::vector<Tensor> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, double lr, double momentum = 0.0);
-  void step() override;
-
- private:
   double lr_;
-  double momentum_;
-  std::vector<std::vector<double>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with optional decoupled weight decay.
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
-  void step() override;
-
- private:
-  double lr_, beta1_, beta2_, eps_, weight_decay_;
   long t_ = 0;
   std::vector<std::vector<double>> m_;
   std::vector<std::vector<double>> v_;

@@ -21,7 +21,6 @@ struct RegistryMetrics {
   obs::Counter& published;
   obs::Counter& publish_rejected;
   obs::Counter& gc_collected;
-  obs::Counter& rollbacks;
   obs::Gauge& current_version;
   obs::Gauge& resident_versions;
 
@@ -33,8 +32,6 @@ struct RegistryMetrics {
                   "publishes refused (size or checksum mismatch)"),
         r.counter("registry.gc_collected",
                   "retired model versions garbage-collected"),
-        r.counter("registry.rollbacks",
-                  "automatic burn-rate rollbacks to a previous version"),
         r.gauge("registry.current_version", "newest published version id"),
         r.gauge("registry.resident_versions",
                 "versions currently held in memory"),
@@ -140,14 +137,6 @@ std::uint64_t ModelRegistry::publish(std::span<const double> state,
 void ModelRegistry::install_locked(std::shared_ptr<const ModelVersion> mv) {
   const std::uint64_t version = mv->version();
   versions_[version] = mv;
-  // A quarantined version (rolled back, then re-discovered by scan_dir in
-  // another order) stays resident for pinned readers but never becomes
-  // current again.
-  if (quarantined_.contains(version)) {
-    last_version_ = std::max(last_version_, version);
-    ++published_;
-    return;
-  }
   current_ = mv;
   last_version_ = std::max(last_version_, version);
   ++published_;
@@ -279,78 +268,12 @@ std::size_t ModelRegistry::scan_dir() {
   return installed;
 }
 
-void ModelRegistry::record_outcome(std::uint64_t version, double top_log_prob,
-                                   double latency_ms) {
+void ModelRegistry::record_outcome(std::uint64_t version,
+                                   double top_log_prob) {
   std::lock_guard lock(mutex_);
   VersionStats& stats = stats_[version];
   ++stats.requests;
   stats.sum_top_log_prob += top_log_prob;
-  if (registry_config_.rollback.enabled) {
-    judge_locked(version, top_log_prob, latency_ms);
-  }
-}
-
-void ModelRegistry::judge_locked(std::uint64_t version, double top_log_prob,
-                                 double latency_ms) {
-  const RollbackConfig& policy = registry_config_.rollback;
-  // Only the version currently taking new admissions is on trial; stale
-  // completions pinned to an older version say nothing about it.
-  if (current_ == nullptr || version != current_->version()) return;
-
-  // Baseline: the newest non-quarantined version below current with
-  // enough measured traffic. Without one there is nothing to compare
-  // against (first version ever, or predecessors unmeasured) — and
-  // nothing to roll back to either.
-  std::shared_ptr<const ModelVersion> baseline;
-  double baseline_mean = 0.0;
-  for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
-    if (it->first >= version || quarantined_.contains(it->first)) continue;
-    const auto stats_it = stats_.find(it->first);
-    if (stats_it == stats_.end() ||
-        stats_it->second.requests < policy.min_requests) {
-      continue;
-    }
-    baseline = it->second;
-    baseline_mean = stats_it->second.sum_top_log_prob /
-                    static_cast<double>(stats_it->second.requests);
-    break;
-  }
-  if (baseline == nullptr) return;
-
-  const bool quality_bad = top_log_prob < baseline_mean - policy.quality_drop;
-  const bool latency_bad =
-      policy.latency_slo_ms > 0.0 && latency_ms > policy.latency_slo_ms;
-  auto [slo_it, inserted] = slo_.try_emplace(version, policy.slo);
-  obs::SloTracker& tracker = slo_it->second;
-  tracker.record(/*good=*/!(quality_bad || latency_bad));
-  if (!tracker.breached()) return;
-
-  // Sustained burn on both windows: swap current back, RCU-style. Under
-  // mutex_ only (publish_mutex_ would invert the lock order) — publishes
-  // also install under mutex_, so current_ moves atomically either way.
-  quarantined_.insert(version);
-  slo_.erase(version);
-  current_ = baseline;
-  current_version_.store(baseline->version(), std::memory_order_release);
-  ++rollbacks_;
-  RegistryMetrics& metrics = RegistryMetrics::get();
-  metrics.rollbacks.inc();
-  metrics.current_version.set(static_cast<double>(baseline->version()));
-  obs::TraceRecorder::instance().instant(
-      "registry.rollback", "registry",
-      {{"from", version}, {"to", baseline->version()}});
-  VPR_LOG(Warn) << "ModelRegistry: burn-rate breach on version " << version
-                << ", rolled back to " << baseline->version();
-}
-
-std::uint64_t ModelRegistry::rollbacks() const {
-  std::lock_guard lock(mutex_);
-  return rollbacks_;
-}
-
-std::vector<std::uint64_t> ModelRegistry::quarantined() const {
-  std::lock_guard lock(mutex_);
-  return {quarantined_.begin(), quarantined_.end()};
 }
 
 std::uint64_t ModelRegistry::published_total() const {
@@ -400,12 +323,6 @@ util::Json ModelRegistry::to_json() const {
     // sequence likelihood than its predecessor's on live traffic.
     j["ab_delta_latest_vs_prev"] = latest_mean - prev_mean;
   }
-  j["rollbacks"] = static_cast<double>(rollbacks_);
-  util::Json quarantine = util::Json::array();
-  for (const std::uint64_t v : quarantined_) {
-    quarantine.push_back(static_cast<double>(v));
-  }
-  j["quarantined"] = std::move(quarantine);
   return j;
 }
 

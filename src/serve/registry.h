@@ -23,16 +23,6 @@
 // recommendation to the version that served it (requests + mean top
 // candidate log pi, the serving-time recommendation-quality proxy), so
 // old-vs-new QoR is comparable on real traffic before a version wins.
-//
-// SLO-driven rollback (RollbackConfig): when enabled, every completion on
-// the *current* version is judged against the previous version's measured
-// quality (and optionally a latency SLO) and fed into an
-// obs::SloTracker. A sustained multi-window burn-rate breach triggers an
-// automatic RCU swap back to the best previous good version — the bad
-// version is quarantined (never re-adopted, never a rollback target) and
-// replicas pick the downgrade up at their next batch boundary exactly
-// like a forward swap. In-flight requests pinned to the bad version still
-// finish bitwise on it; they are simply the last ones to do so.
 
 #include <atomic>
 #include <chrono>
@@ -47,7 +37,6 @@
 
 #include "align/recipe_model.h"
 #include "model/snapshot.h"
-#include "obs/slo.h"
 #include "util/json.h"
 
 namespace vpr::serve {
@@ -85,30 +74,12 @@ class ModelVersion {
   std::chrono::steady_clock::time_point published_at_;
 };
 
-/// Automatic burn-rate rollback policy. Disabled by default: a registry
-/// only ever rolls back when the operator opted in.
-struct RollbackConfig {
-  bool enabled = false;
-  /// The previous version needs this much measured traffic before it can
-  /// serve as the quality baseline (no rollback against noise).
-  std::uint64_t min_requests = 16;
-  /// A completion on the current version is "bad" when its top candidate
-  /// log pi falls more than this below the previous version's mean.
-  double quality_drop = 0.05;
-  /// Optional latency SLO in milliseconds; > 0 additionally marks any
-  /// completion slower than this as bad.
-  double latency_slo_ms = 0.0;
-  /// Multi-window burn-rate thresholds fed by the per-completion verdicts.
-  obs::SloConfig slo;
-};
-
 struct RegistryConfig {
   /// Snapshot directory; "" keeps the registry purely in-memory.
   std::string dir;
-  /// Retired (non-current) versions kept resident for A/B rollback; older
-  /// unpinned versions are garbage-collected on publish.
+  /// Retired (non-current) versions kept resident for A/B comparison;
+  /// older unpinned versions are garbage-collected on publish.
   std::size_t keep_latest = 2;
-  RollbackConfig rollback;
 };
 
 class ModelRegistry {
@@ -165,21 +136,8 @@ class ModelRegistry {
   std::size_t scan_dir();
 
   /// Attribute one completed recommendation to `version` for the A/B
-  /// counters; `top_log_prob` is the best candidate's sequence log pi and
-  /// `latency_ms` the submit->completion wall time. With rollback enabled
-  /// this is also the SLO engine's input: completions on the current
-  /// version are judged against the previous version's mean quality (and
-  /// the latency SLO when configured), and a sustained burn-rate breach
-  /// swaps current back to the previous good version right here, under
-  /// the same stats mutex — replicas adopt the downgrade at their next
-  /// batch boundary.
-  void record_outcome(std::uint64_t version, double top_log_prob,
-                      double latency_ms = 0.0);
-
-  /// Automatic rollbacks performed so far.
-  [[nodiscard]] std::uint64_t rollbacks() const;
-  /// Versions quarantined by rollback (never re-adopted).
-  [[nodiscard]] std::vector<std::uint64_t> quarantined() const;
+  /// counters; `top_log_prob` is the best candidate's sequence log pi.
+  void record_outcome(std::uint64_t version, double top_log_prob);
 
   [[nodiscard]] const align::ModelConfig& model_config() const noexcept {
     return config_;
@@ -211,12 +169,6 @@ class ModelRegistry {
   /// merge here). Caller holds mutex_.
   void install_locked(std::shared_ptr<const ModelVersion> mv);
   std::size_t gc_locked();
-  /// Judge one completion on the current version and roll back on a
-  /// sustained breach. Caller holds mutex_ (and only mutex_ — this is the
-  /// serving hot path; taking publish_mutex_ here would invert the lock
-  /// order).
-  void judge_locked(std::uint64_t version, double top_log_prob,
-                    double latency_ms);
 
   align::ModelConfig config_;
   RegistryConfig registry_config_;
@@ -244,11 +196,6 @@ class ModelRegistry {
   /// A/B stats outlive their versions (a retired version's traffic stays
   /// comparable after GC).
   std::map<std::uint64_t, VersionStats> stats_;
-  /// Rollback state, all guarded by mutex_: burn-rate tracker per judged
-  /// version, versions quarantined by a rollback, and the count.
-  std::map<std::uint64_t, obs::SloTracker> slo_;
-  std::set<std::uint64_t> quarantined_;
-  std::uint64_t rollbacks_ = 0;
 };
 
 }  // namespace vpr::serve

@@ -349,13 +349,10 @@ void RecommendService::finish(Inflight& flight, Status status) {
   std::vector<align::BeamCandidate> candidates;
   if (status == Status::kOk) candidates = flight.decoder->result();
   const std::uint64_t served_version = flight.pin->version();
-  // Latency is measured before the registry sees the outcome, so the SLO
-  // engine judges the same number the client will be told.
   const auto done = Clock::now();
   const double latency = ms_between(flight.request.submitted_at, done);
   if (status == Status::kOk && !candidates.empty()) {
-    registry_->record_outcome(served_version, candidates.front().log_prob,
-                              latency);
+    registry_->record_outcome(served_version, candidates.front().log_prob);
   }
 
   // Update the counters before fulfilling the promise: a caller that

@@ -50,31 +50,33 @@ std::string Args::get_or(const std::string& name,
   return v.has_value() ? *v : fallback;
 }
 
+// A numeric flag given without a value parses as "" and throws: reading it
+// as absent would silently run with the fallback.
 int Args::get_int(const std::string& name, int fallback) const {
-  const auto v = get(name);
-  if (!v.has_value()) return fallback;
+  if (!has(name)) return fallback;
+  const std::string v = get(name).value_or("");
   try {
     std::size_t pos = 0;
-    const int out = std::stoi(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing");
+    const int out = std::stoi(v, &pos);
+    if (pos != v.size()) throw std::invalid_argument("trailing");
     return out;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + name + " expects an integer, got '" +
-                                *v + "'");
+    throw std::invalid_argument("Args: --" + name +
+                                " expects an integer, got '" + v + "'");
   }
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
-  const auto v = get(name);
-  if (!v.has_value()) return fallback;
+  if (!has(name)) return fallback;
+  const std::string v = get(name).value_or("");
   try {
     std::size_t pos = 0;
-    const double out = std::stod(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing");
+    const double out = std::stod(v, &pos);
+    if (pos != v.size()) throw std::invalid_argument("trailing");
     return out;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + name + " expects a number, got '" +
-                                *v + "'");
+    throw std::invalid_argument("Args: --" + name +
+                                " expects a number, got '" + v + "'");
   }
 }
 

@@ -24,7 +24,9 @@ class Args {
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    const std::string& fallback) const;
-  /// Typed getters; throw std::invalid_argument on unparseable values.
+  /// Typed getters; return `fallback` when the flag is absent. get_int and
+  /// get_double throw std::invalid_argument on an unparseable value or a
+  /// flag given without one; get_bool reads a bare flag as true.
   [[nodiscard]] int get_int(const std::string& name, int fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;

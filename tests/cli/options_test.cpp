@@ -161,6 +161,41 @@ TEST(ParseDesignIndex, ValidatesPresenceTypeAndRange) {
   EXPECT_NE(message.find("1..17"), std::string::npos);
 }
 
+TEST(ParseBoundedInt, ServeResourceFlagsAreCappedBeforeStart) {
+  // Called directly: launching `serve` with an over-cap value would start
+  // that many threads if the check were wrong.
+  EXPECT_EQ(parse_bounded_int(make_args({}), "replicas", 2,
+                              kMaxServeReplicas, "serve"),
+            2);
+  EXPECT_EQ(parse_bounded_int(make_args({"--replicas", "64"}), "replicas", 2,
+                              kMaxServeReplicas, "serve"),
+            64);
+  EXPECT_THROW((void)parse_bounded_int(make_args({"--replicas", "65"}),
+                                       "replicas", 2, kMaxServeReplicas,
+                                       "serve"),
+               UsageError);
+  EXPECT_THROW((void)parse_bounded_int(make_args({"--max-inflight", "1025"}),
+                                       "max-inflight", 8, kMaxServeInflight,
+                                       "serve"),
+               UsageError);
+  EXPECT_THROW((void)parse_bounded_int(make_args({"--width", "0"}), "width",
+                                       8, kMaxServeWidth, "serve"),
+               UsageError);
+  EXPECT_THROW((void)parse_bounded_int(make_args({"--width", "many"}),
+                                       "width", 8, kMaxServeWidth, "serve"),
+               UsageError);
+  EXPECT_THROW((void)parse_bounded_int(make_args({"--width", "--replicas",
+                                                  "2"}),
+                                       "width", 8, kMaxServeWidth, "serve"),
+               UsageError);
+  const std::string message = usage_message([&] {
+    (void)parse_bounded_int(make_args({"--replicas", "100000"}), "replicas",
+                            2, kMaxServeReplicas, "serve");
+  });
+  EXPECT_NE(message.find("--replicas"), std::string::npos);
+  EXPECT_NE(message.find("1..64"), std::string::npos);
+}
+
 TEST(RequireReadable, AcceptsExistingRejectsMissing) {
   const std::string path = ::testing::TempDir() + "options_test_model.bin";
   {

@@ -256,122 +256,5 @@ TEST(ModelRegistry, RecordOutcomeFeedsAbAccounting) {
       j.as_object().at("ab_delta_latest_vs_prev").as_number(), 2.0);
 }
 
-/// Rollback-enabled registry with a small evidence bar so tests stay
-/// fast: 4 baseline requests, 8 bad completions to breach.
-RegistryConfig rollback_config() {
-  RegistryConfig rc;
-  rc.rollback.enabled = true;
-  rc.rollback.min_requests = 4;
-  rc.rollback.quality_drop = 0.01;
-  return rc;
-}
-
-/// Warm `version` as the quality baseline: enough traffic at the given
-/// mean for judge_locked to accept it as the comparison point.
-void warm_baseline(ModelRegistry& registry, std::uint64_t version,
-                   double top_log_prob, std::uint64_t requests = 4) {
-  for (std::uint64_t i = 0; i < requests; ++i) {
-    registry.record_outcome(version, top_log_prob);
-  }
-}
-
-TEST(ModelRegistry, BurnRateBreachRollsBackExactlyOnce) {
-  ModelRegistry registry{align::ModelConfig{}, rollback_config()};
-  const auto good_v = registry.publish(version_state(1), "good");
-  warm_baseline(registry, good_v, -1.0);
-
-  const auto bad_v = registry.publish(version_state(2), "degraded");
-  ASSERT_EQ(registry.current_version(), bad_v);
-
-  // Each completion on the current version falls far below the baseline
-  // mean: all bad. The default SLO needs min_events (8) in both windows
-  // before the breach fires — no single datapoint can trip it.
-  const auto min_events = registry.config().rollback.slo.min_events;
-  for (std::uint64_t i = 0; i + 1 < min_events; ++i) {
-    registry.record_outcome(bad_v, -10.0);
-    EXPECT_EQ(registry.rollbacks(), 0u) << "after " << i + 1 << " events";
-  }
-  registry.record_outcome(bad_v, -10.0);
-
-  EXPECT_EQ(registry.rollbacks(), 1u);
-  EXPECT_EQ(registry.current_version(), good_v);
-  EXPECT_EQ(registry.quarantined(), std::vector<std::uint64_t>{bad_v});
-
-  // Stale completions still pinned to the quarantined version are
-  // recorded for A/B accounting but never judged again: one breach, one
-  // rollback.
-  for (int i = 0; i < 16; ++i) registry.record_outcome(bad_v, -10.0);
-  EXPECT_EQ(registry.rollbacks(), 1u);
-  EXPECT_EQ(registry.current_version(), good_v);
-
-  // The quarantined version stays resident for pinned readers.
-  EXPECT_NE(registry.version(bad_v), nullptr);
-
-  const auto j = registry.to_json();
-  EXPECT_EQ(j.as_object().at("rollbacks").as_number(), 1.0);
-  const auto& quarantine = j.as_object().at("quarantined").as_array();
-  ASSERT_EQ(quarantine.size(), 1u);
-  EXPECT_EQ(quarantine[0].as_number(), static_cast<double>(bad_v));
-}
-
-TEST(ModelRegistry, ComparableQualityNeverRollsBack) {
-  ModelRegistry registry{align::ModelConfig{}, rollback_config()};
-  const auto v1 = registry.publish(version_state(1), "v1");
-  warm_baseline(registry, v1, -1.0);
-  const auto v2 = registry.publish(version_state(2), "v2");
-
-  // Within quality_drop of the baseline: good completions, no burn.
-  for (int i = 0; i < 64; ++i) registry.record_outcome(v2, -1.005);
-  EXPECT_EQ(registry.rollbacks(), 0u);
-  EXPECT_EQ(registry.current_version(), v2);
-  EXPECT_TRUE(registry.quarantined().empty());
-}
-
-TEST(ModelRegistry, UnmeasuredBaselineVetoesRollback) {
-  ModelRegistry registry{align::ModelConfig{}, rollback_config()};
-  const auto v1 = registry.publish(version_state(1), "v1");
-  // Only 2 recorded requests: below min_requests, not trustworthy as a
-  // comparison point — terrible v2 quality must not trigger a rollback
-  // against noise.
-  warm_baseline(registry, v1, -1.0, /*requests=*/2);
-  const auto v2 = registry.publish(version_state(2), "v2");
-  for (int i = 0; i < 64; ++i) registry.record_outcome(v2, -50.0);
-  EXPECT_EQ(registry.rollbacks(), 0u);
-  EXPECT_EQ(registry.current_version(), v2);
-}
-
-TEST(ModelRegistry, LatencySloBreachRollsBackTooAndFreshPublishRecovers) {
-  RegistryConfig rc = rollback_config();
-  rc.rollback.latency_slo_ms = 5.0;
-  ModelRegistry registry{align::ModelConfig{}, rc};
-  const auto v1 = registry.publish(version_state(1), "v1");
-  warm_baseline(registry, v1, -1.0);
-  const auto v2 = registry.publish(version_state(2), "v2");
-
-  // Quality matches the baseline exactly; only the latency SLO is blown.
-  const auto min_events = rc.rollback.slo.min_events;
-  for (std::uint64_t i = 0; i < min_events; ++i) {
-    registry.record_outcome(v2, -1.0, /*latency_ms=*/50.0);
-  }
-  EXPECT_EQ(registry.rollbacks(), 1u);
-  EXPECT_EQ(registry.current_version(), v1);
-
-  // Recovery path: a fresh publish (the fixed model) becomes current;
-  // the quarantined id never does.
-  const auto v3 = registry.publish(version_state(3), "fixed");
-  EXPECT_EQ(registry.current_version(), v3);
-  EXPECT_EQ(registry.quarantined(), std::vector<std::uint64_t>{v2});
-}
-
-TEST(ModelRegistry, RollbackDisabledByDefault) {
-  ModelRegistry registry{align::ModelConfig{}};
-  const auto v1 = registry.publish(version_state(1), "v1");
-  warm_baseline(registry, v1, -1.0, /*requests=*/32);
-  const auto v2 = registry.publish(version_state(2), "v2");
-  for (int i = 0; i < 64; ++i) registry.record_outcome(v2, -50.0);
-  EXPECT_EQ(registry.rollbacks(), 0u);
-  EXPECT_EQ(registry.current_version(), v2);
-}
-
 }  // namespace
 }  // namespace vpr::serve

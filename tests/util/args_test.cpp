@@ -68,6 +68,14 @@ TEST(Args, MalformedValuesThrow) {
   EXPECT_THROW((void)args.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Args, NumericFlagWithoutValueThrows) {
+  // `--epochs --designs 1-2` must not silently train with the default.
+  const auto args = parse({"prog", "--epochs", "--designs", "1-2", "--x"});
+  EXPECT_THROW((void)args.get_int("epochs", 6), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("x", 0.5), std::invalid_argument);
+  EXPECT_TRUE(args.get_bool("x", false));
+}
+
 TEST(Args, BareDoubleDashThrows) {
   EXPECT_THROW(parse({"prog", "--"}), std::invalid_argument);
 }
